@@ -274,14 +274,13 @@ func (dc *DynamicColorBound) CurrentPeriod(v int) int64 {
 }
 
 // FrozenSchedule snapshots the current coloring's periodic assignment as an
-// immutable random-access Schedule. The snapshot stays internally consistent
-// (every happy set independent in the graph at freeze time) while the live
-// scheduler keeps absorbing churn — this is the value the serving layer
-// caches between recolorings. The assignment is valid by construction
-// (period = 2^len ≥ 1 and offset = codeword value < 2^len), so the snapshot
-// skips NewFixedPeriodic's copy-and-validate pass: rebuilds sit on the
-// serving path after every recoloring.
-func (dc *DynamicColorBound) FrozenSchedule() (Schedule, error) {
+// immutable random-access schedule: family v is happy exactly at
+// t ≡ value(codeword) (mod 2^len) of its current color. The snapshot stays
+// internally consistent (every happy set independent in the graph at freeze
+// time) while the live scheduler keeps absorbing churn — this is the value
+// the serving layer caches between recolorings. It errors only when a
+// codeword is too long for its period to fit an int64.
+func (dc *DynamicColorBound) FrozenSchedule() (*PeriodicSchedule, error) {
 	periods := make([]int64, dc.d.N())
 	offsets := make([]int64, dc.d.N())
 	for v := range periods {
@@ -292,7 +291,7 @@ func (dc *DynamicColorBound) FrozenSchedule() (Schedule, error) {
 		periods[v] = int64(1) << uint(enc.Len())
 		offsets[v] = int64(enc.Value())
 	}
-	return newPeriodicSchedule(dc.Name(), periods, offsets), nil
+	return NewFixedPeriodic(dc.Name(), periods, offsets)
 }
 
 // Color returns v's current color.

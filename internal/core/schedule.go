@@ -33,8 +33,8 @@ type Schedule interface {
 	Window(from, to int64, visit func(t int64, happy []int))
 	// NextHappy returns the first holiday ≥ from at which family v is happy,
 	// or 0 if none exists within the implementation's search bound (periodic
-	// schedules always succeed; replay cursors scan at most
-	// MaxNextHappyScan holidays).
+	// schedules succeed for every non-vacant entity; replay cursors scan at
+	// most MaxNextHappyScan holidays).
 	NextHappy(v int, from int64) int64
 	// RandomAccess reports whether HappySet and Window cost is independent
 	// of the query position — true for the closed-form periodic schedules,
@@ -97,89 +97,101 @@ const MaxHoliday = int64(1) << 62
 // the bound only bites for adversarial queries on pathological schedulers.
 const MaxNextHappyScan = 1 << 16
 
-// periodicSchedule answers every query in closed form from a snapshot of
-// per-node periods and offsets. The assignment is immutable after
+// PeriodicSchedule answers every query in closed form from a snapshot of
+// per-entity periods and offsets: entity v is happy exactly at the holidays
+// t ≡ Offset(v) (mod Period(v)). Period 0 (with offset 0) marks a vacant
+// entity that is never happy — a poly edge slot with no edge in it — so the
+// classic per-family and the poly per-edge-slot closed forms share this one
+// representation and window walker. The assignment is immutable after
 // construction; scratch only holds reusable Window working buffers.
-type periodicSchedule struct {
-	name       string
-	periods    []int64
-	offsets    []int64
-	scratch    sync.Pool // *windowScratch, see Window
-	bitScratch sync.Pool // *bitWindowScratch, see WindowBits
+type PeriodicSchedule struct {
+	name    string
+	periods []int64   // per entity; 0 = vacant
+	offsets []int64   // per entity; in [0, period), 0 when vacant
+	scratch sync.Pool // *windowScratch, see startWindow
 }
 
-// windowScratch is the per-Window working set (next-event cursor per node
-// plus one block of happy-set buckets), pooled per schedule so concurrent
-// window queries against a cached schedule allocate nothing in steady state.
+var (
+	_ NodeCounter = (*PeriodicSchedule)(nil)
+	_ BitWindower = (*PeriodicSchedule)(nil)
+)
+
+// windowScratch is the per-window working set — the next-event cursor per
+// entity plus one block of happy-set buckets (Window) or packed rows as a
+// flat word slice (WindowBits) — pooled per schedule so concurrent window
+// queries against a cached schedule allocate nothing in steady state.
 type windowScratch struct {
 	next    []int64
 	happyAt [][]int
-}
-
-// newPeriodicSchedule takes ownership of the slices without copying or
-// re-validating — for construction sites whose assignments are valid by
-// construction (e.g. DynamicColorBound.FrozenSchedule, which rebuilds on
-// every cache invalidation of the serving layer).
-func newPeriodicSchedule(name string, periods, offsets []int64) *periodicSchedule {
-	return &periodicSchedule{name: name, periods: periods, offsets: offsets}
+	rows    []uint64
 }
 
 // NewPeriodicSchedule snapshots a perfectly periodic scheduler's closed form
 // (Period/Offset for each of the n nodes) into an immutable random-access
-// Schedule. The scheduler is never advanced — the Periodic contract
-// guarantees the snapshot reproduces Next exactly.
-func NewPeriodicSchedule(p Periodic, n int) Schedule {
+// schedule. The scheduler is never advanced — the Periodic contract
+// guarantees the snapshot reproduces Next exactly, and a scheduler that
+// breaks the contract (period < 1 or offset out of range) panics.
+func NewPeriodicSchedule(p Periodic, n int) *PeriodicSchedule {
 	periods := make([]int64, n)
 	offsets := make([]int64, n)
-	for v := 0; v < n; v++ {
+	for v := range periods {
 		periods[v] = p.Period(v)
 		offsets[v] = p.Offset(v)
 	}
-	return &periodicSchedule{name: p.Name(), periods: periods, offsets: offsets}
+	ps, err := NewFixedPeriodic(p.Name(), periods, offsets)
+	if err != nil {
+		panic(fmt.Sprintf("core: %s violates the Periodic contract: %v", p.Name(), err))
+	}
+	return ps
 }
 
-// NewFixedPeriodic builds a random-access Schedule directly from per-node
-// periods and offsets (period ≥ 1, 0 ≤ offset < period). This is the
-// snapshot form the serving layer caches: a frozen copy of a dynamic
-// scheduler's current assignment that stays valid while the live coloring
-// churns on.
-func NewFixedPeriodic(name string, periods, offsets []int64) (Schedule, error) {
+// NewFixedPeriodic builds a random-access schedule directly from per-entity
+// periods and offsets, taking ownership of both slices. Each entity needs
+// period ≥ 1 and 0 ≤ offset < period, or period 0 and offset 0 for a vacant
+// entity. This is the snapshot form the serving layer caches: a frozen copy
+// of a dynamic scheduler's current assignment that stays valid while the
+// live instance churns on.
+func NewFixedPeriodic(name string, periods, offsets []int64) (*PeriodicSchedule, error) {
 	if len(periods) != len(offsets) {
 		return nil, fmt.Errorf("core: %d periods but %d offsets", len(periods), len(offsets))
 	}
-	ps := &periodicSchedule{
-		name:    name,
-		periods: append([]int64(nil), periods...),
-		offsets: append([]int64(nil), offsets...),
-	}
-	for v := range ps.periods {
-		if ps.periods[v] < 1 {
-			return nil, fmt.Errorf("core: node %d has period %d < 1", v, ps.periods[v])
-		}
-		if ps.offsets[v] < 0 || ps.offsets[v] >= ps.periods[v] {
-			return nil, fmt.Errorf("core: node %d has offset %d outside [0, %d)", v, ps.offsets[v], ps.periods[v])
+	for v, p := range periods {
+		switch off := offsets[v]; {
+		case p < 0:
+			return nil, fmt.Errorf("core: entity %d has negative period %d", v, p)
+		case p == 0 && off != 0:
+			return nil, fmt.Errorf("core: vacant entity %d has offset %d, want 0", v, off)
+		case p > 0 && (off < 0 || off >= p):
+			return nil, fmt.Errorf("core: entity %d has offset %d outside [0, %d)", v, off, p)
 		}
 	}
-	return ps, nil
+	return &PeriodicSchedule{name: name, periods: periods, offsets: offsets}, nil
 }
 
 // Name implements Schedule.
-func (ps *periodicSchedule) Name() string { return ps.name }
+func (ps *PeriodicSchedule) Name() string { return ps.name }
 
-// Nodes returns the number of families the closed-form snapshot covers. It
-// is not part of the Schedule interface (replay cursors do not know their
-// node count); callers holding a frozen periodic schedule discover it via
-// the NodeCounter optional interface.
-func (ps *periodicSchedule) Nodes() int { return len(ps.periods) }
+// Nodes implements NodeCounter: the number of entities (families, or poly
+// edge slots) the closed-form snapshot covers.
+func (ps *PeriodicSchedule) Nodes() int { return len(ps.periods) }
 
-// RandomAccess implements Schedule: closed-form queries cost O(1) per node.
-func (ps *periodicSchedule) RandomAccess() bool { return true }
+// Period returns entity v's hosting period; 0 marks a vacant entity.
+func (ps *PeriodicSchedule) Period(v int) int64 { return ps.periods[v] }
 
-// HappySet implements Schedule.
-func (ps *periodicSchedule) HappySet(t int64) []int {
+// Offset returns entity v's hosting phase in [0, Period(v)); 0 when vacant.
+func (ps *PeriodicSchedule) Offset(v int) int64 { return ps.offsets[v] }
+
+// RandomAccess implements Schedule: closed-form queries cost O(1) per entity.
+func (ps *PeriodicSchedule) RandomAccess() bool { return true }
+
+// HappySet implements Schedule: nil outside [1, MaxHoliday], like Window.
+func (ps *PeriodicSchedule) HappySet(t int64) []int {
+	if t < 1 || t > MaxHoliday {
+		return nil
+	}
 	var happy []int
-	for v := range ps.periods {
-		if t%ps.periods[v] == ps.offsets[v] {
+	for v, p := range ps.periods {
+		if p > 0 && t%p == ps.offsets[v] {
 			happy = append(happy, v)
 		}
 	}
@@ -187,65 +199,73 @@ func (ps *periodicSchedule) HappySet(t int64) []int {
 }
 
 // NextHappy implements Schedule: the smallest t ≥ max(from, 1) with
-// t ≡ offset (mod period), or 0 when the query exceeds MaxHoliday.
-func (ps *periodicSchedule) NextHappy(v int, from int64) int64 {
+// t ≡ offset (mod period), or 0 for vacant entities and queries beyond
+// MaxHoliday.
+func (ps *PeriodicSchedule) NextHappy(v int, from int64) int64 {
 	if v < 0 || v >= len(ps.periods) || from > MaxHoliday {
+		return 0
+	}
+	p := ps.periods[v]
+	if p == 0 {
 		return 0
 	}
 	if from < 1 {
 		from = 1
 	}
-	p := ps.periods[v]
 	return from + ((ps.offsets[v]-from)%p+p)%p
 }
 
-// Window implements Schedule by walking every node's arithmetic progression
-// through the window in windowBlock-sized chunks: each block buckets the
-// progressions per holiday with one reused bucket array, so memory stays
-// O(n + block) and work is O(n + window + happiness events) — never a scan
-// of the holidays before from. The working buffers are pooled per schedule,
-// so steady-state serving (many concurrent windows against one cached
-// schedule) does not allocate them per query.
-func (ps *periodicSchedule) Window(from, to int64, visit func(t int64, happy []int)) {
-	if to > MaxHoliday {
-		to = MaxHoliday
-	}
+// startWindow clamps to at MaxHoliday and, for a non-empty window, takes a
+// pooled scratch whose next cursor holds every entity's first happy holiday
+// ≥ from (0 for vacant entities). It returns a nil scratch for an empty
+// window; otherwise the caller puts ws back into the pool when done.
+func (ps *PeriodicSchedule) startWindow(from, to int64) (ws *windowScratch, clampedTo, blockLen int64) {
+	to = min(to, MaxHoliday)
 	if from < 1 || to < from {
-		return
+		return nil, 0, 0
 	}
-	n := len(ps.periods)
-	ws, _ := ps.scratch.Get().(*windowScratch)
+	ws, _ = ps.scratch.Get().(*windowScratch)
 	if ws == nil {
 		ws = &windowScratch{}
 	}
-	defer ps.scratch.Put(ws)
+	n := len(ps.periods)
 	if cap(ws.next) < n {
 		ws.next = make([]int64, n)
 	}
-	next := ws.next[:n]
-	for v := 0; v < n; v++ {
-		next[v] = ps.NextHappy(v, from)
+	ws.next = ws.next[:n]
+	for v := range ws.next {
+		ws.next[v] = ps.NextHappy(v, from)
 	}
-	blockLen := to - from + 1
-	if blockLen > windowBlock {
-		blockLen = windowBlock
+	return ws, to, min(to-from+1, windowBlock)
+}
+
+// Window implements Schedule by walking every live entity's arithmetic
+// progression through the window in windowBlock-sized chunks: each block
+// buckets the progressions per holiday with one reused bucket array, so
+// memory stays O(n + block) and work is O(n + window + happiness events) —
+// never a scan of the holidays before from.
+func (ps *PeriodicSchedule) Window(from, to int64, visit func(t int64, happy []int)) {
+	ws, to, blockLen := ps.startWindow(from, to)
+	if ws == nil {
+		return
 	}
+	defer ps.scratch.Put(ws)
 	if int64(cap(ws.happyAt)) < blockLen {
 		grown := make([][]int, blockLen)
 		copy(grown, ws.happyAt[:cap(ws.happyAt)])
 		ws.happyAt = grown
 	}
-	happyAt := ws.happyAt[:blockLen]
+	happyAt, next := ws.happyAt[:blockLen], ws.next
 	for blo := from; blo <= to; blo += blockLen {
-		bhi := blo + blockLen - 1
-		if bhi > to {
-			bhi = to
-		}
+		bhi := min(blo+blockLen-1, to)
 		for i := range happyAt[:bhi-blo+1] {
 			happyAt[i] = happyAt[i][:0]
 		}
-		for v := 0; v < n; v++ {
+		for v := 0; v < len(next); v++ {
 			t := next[v]
+			if t == 0 {
+				continue // vacant
+			}
 			for ; t <= bhi; t += ps.periods[v] {
 				happyAt[t-blo] = append(happyAt[t-blo], v)
 			}
@@ -257,59 +277,30 @@ func (ps *periodicSchedule) Window(from, to int64, visit func(t int64, happy []i
 	}
 }
 
-// bitWindowScratch is the per-WindowBits working set: the per-node
-// next-event cursor plus one block of packed rows as a flat word slice,
-// pooled per schedule like windowScratch so steady-state binary serving
-// allocates nothing.
-type bitWindowScratch struct {
-	next []int64
-	rows []uint64
-}
-
-// WindowBits implements BitWindower in closed form: each node's arithmetic
+// WindowBits implements BitWindower in closed form: each live entity's
 // progression is walked through the window in windowBlock-sized chunks,
-// OR-ing the node's bit straight into the packed row of every holiday it
-// hosts — no []int row is ever materialized. Work is O(n + window·⌈n/64⌉
-// word clears + happiness events), memory O(n + block·⌈n/64⌉).
-func (ps *periodicSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
-	if to > MaxHoliday {
-		to = MaxHoliday
-	}
-	if from < 1 || to < from {
+// OR-ing its bit straight into the packed row of every holiday it hosts —
+// no []int row is ever materialized. Work is O(n + window·⌈n/64⌉ word
+// clears + happiness events), memory O(n + block·⌈n/64⌉).
+func (ps *PeriodicSchedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
+	ws, to, blockLen := ps.startWindow(from, to)
+	if ws == nil {
 		return
 	}
-	n := len(ps.periods)
-	words := (n + 63) / 64
-	ws, _ := ps.bitScratch.Get().(*bitWindowScratch)
-	if ws == nil {
-		ws = &bitWindowScratch{}
-	}
-	defer ps.bitScratch.Put(ws)
-	if cap(ws.next) < n {
-		ws.next = make([]int64, n)
-	}
-	next := ws.next[:n]
-	for v := 0; v < n; v++ {
-		next[v] = ps.NextHappy(v, from)
-	}
-	blockLen := to - from + 1
-	if blockLen > windowBlock {
-		blockLen = windowBlock
-	}
-	need := int(blockLen) * words
-	if cap(ws.rows) < need {
+	defer ps.scratch.Put(ws)
+	words := (len(ps.periods) + 63) / 64
+	if need := int(blockLen) * words; cap(ws.rows) < need {
 		ws.rows = make([]uint64, need)
 	}
-	rows := ws.rows[:need]
+	rows, next := ws.rows, ws.next
 	for blo := from; blo <= to; blo += blockLen {
-		bhi := blo + blockLen - 1
-		if bhi > to {
-			bhi = to
-		}
-		cnt := int(bhi - blo + 1)
-		clear(rows[:cnt*words])
-		for v := 0; v < n; v++ {
+		bhi := min(blo+blockLen-1, to)
+		clear(rows[:int(bhi-blo+1)*words])
+		for v := 0; v < len(next); v++ {
 			t := next[v]
+			if t == 0 {
+				continue // vacant
+			}
 			wv, bit := v>>6, uint64(1)<<uint(v&63)
 			for ; t <= bhi; t += ps.periods[v] {
 				rows[int(t-blo)*words+wv] |= bit

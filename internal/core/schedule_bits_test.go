@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,6 +29,28 @@ func TestWindowBitsMatchesWindow(t *testing.T) {
 			checkWindowBits(t, gname+"/"+name, sched, g.N())
 		}
 	}
+	checkWindowBits(t, "fixed/25%-vacant", fixedSchedule(200, 4), 200)
+}
+
+// fixedSchedule builds a NewFixedPeriodic schedule over n entities with
+// dyadic periods in [2, 1024] (the shape of codeword periods) and random
+// phases; when vacantEvery > 0, every vacantEvery-th entity is vacant.
+func fixedSchedule(n, vacantEvery int) *PeriodicSchedule {
+	rng := rand.New(rand.NewPCG(uint64(n), uint64(vacantEvery)))
+	periods := make([]int64, n)
+	offsets := make([]int64, n)
+	for v := range periods {
+		if vacantEvery > 0 && v%vacantEvery == vacantEvery-1 {
+			continue
+		}
+		periods[v] = int64(2) << rng.IntN(10)
+		offsets[v] = rng.Int64N(periods[v])
+	}
+	ps, err := NewFixedPeriodic("fixed", periods, offsets)
+	if err != nil {
+		panic(err)
+	}
+	return ps
 }
 
 // TestWindowBitsFallbackMatchesWindow: schedules without native bitmap
@@ -102,5 +125,32 @@ func BenchmarkWindowBits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		from := int64(1 + (i*97)%100000)
 		WindowBits(sched, g.N(), from, from+51, func(int64, graph.Bitset) {})
+	}
+}
+
+// BenchmarkPeriodicWindow measures the closed-form window walkers on a
+// 4096-entity schedule, fully live and with every fourth entity vacant (the
+// shape of a churned poly instance), through both the []int rows of Window
+// and the packed rows of WindowBits.
+func BenchmarkPeriodicWindow(b *testing.B) {
+	const n = 4096
+	for _, c := range []struct {
+		name string
+		ps   *PeriodicSchedule
+	}{{"all-live", fixedSchedule(n, 0)}, {"25%-vacant", fixedSchedule(n, 4)}} {
+		b.Run(c.name+"/Window", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				from := int64(1 + (i*97)%100000)
+				c.ps.Window(from, from+255, func(int64, []int) {})
+			}
+		})
+		b.Run(c.name+"/WindowBits", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				from := int64(1 + (i*97)%100000)
+				c.ps.WindowBits(from, from+255, func(int64, graph.Bitset) {})
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -240,6 +241,17 @@ func TestScheduleOverflowGuards(t *testing.T) {
 	if got := sched.NextHappy(0, MaxHoliday-16); got < MaxHoliday-16 {
 		t.Fatalf("NextHappy near MaxHoliday wrapped to %d", got)
 	}
+	// HappySet serves nothing outside [1, MaxHoliday], like Window, for
+	// closed-form and replay schedules alike.
+	mk := func() (Scheduler, error) { return NewFirstGrab(g, 5), nil }
+	first, _ := mk()
+	for _, s := range []Schedule{sched, NewReplaySchedule(first, mk)} {
+		for _, tt := range []int64{0, -8, MaxHoliday + 4} {
+			if got := s.HappySet(tt); len(got) != 0 {
+				t.Fatalf("%s: HappySet(%d) = %v, want empty", s.Name(), tt, got)
+			}
+		}
+	}
 }
 
 // TestNewFixedPeriodicValidates pins the snapshot constructor's input checks.
@@ -247,8 +259,11 @@ func TestNewFixedPeriodicValidates(t *testing.T) {
 	if _, err := NewFixedPeriodic("x", []int64{2, 2}, []int64{0}); err == nil {
 		t.Fatal("want error on length mismatch")
 	}
-	if _, err := NewFixedPeriodic("x", []int64{0}, []int64{0}); err == nil {
-		t.Fatal("want error on period < 1")
+	if _, err := NewFixedPeriodic("x", []int64{-1}, []int64{0}); err == nil {
+		t.Fatal("want error on negative period")
+	}
+	if _, err := NewFixedPeriodic("x", []int64{0}, []int64{1}); err == nil {
+		t.Fatal("want error on a vacant entity with nonzero offset")
 	}
 	if _, err := NewFixedPeriodic("x", []int64{4}, []int64{4}); err == nil {
 		t.Fatal("want error on offset ≥ period")
@@ -263,6 +278,24 @@ func TestNewFixedPeriodicValidates(t *testing.T) {
 	if got := sched.NextHappy(0, 2); got != 5 {
 		t.Fatalf("NextHappy(0, 2) = %d, want 5", got)
 	}
+	// Period 0 with offset 0 is a vacant entity: accepted, never happy.
+	vacant, err := NewFixedPeriodic("vacant", []int64{2, 0}, []int64{1, 0})
+	if err != nil {
+		t.Fatalf("vacant entity rejected: %v", err)
+	}
+	if got := vacant.NextHappy(1, 1); got != 0 {
+		t.Fatalf("vacant NextHappy = %d, want 0", got)
+	}
+	for tt := int64(1); tt <= 8; tt++ {
+		if got := vacant.HappySet(tt); slices.Contains(got, 1) {
+			t.Fatalf("HappySet(%d) = %v contains the vacant entity", tt, got)
+		}
+	}
+	vacant.Window(1, 8, func(tt int64, happy []int) {
+		if slices.Contains(happy, 1) {
+			t.Fatalf("Window holiday %d = %v contains the vacant entity", tt, happy)
+		}
+	})
 }
 
 // TestDynamicFrozenSchedule: the frozen snapshot must match the live closed

@@ -77,16 +77,6 @@ func E19PolySchedulers(cfg Config) *stats.Table {
 	return tb
 }
 
-// slotPeriod reads an edge slot's firing period off the frozen schedule:
-// the distance between its first two firings (0 for never-happy slots).
-func slotPeriod(ps *poly.Schedule, slot int) int64 {
-	t1 := ps.NextHappy(slot, 1)
-	if t1 == 0 {
-		return 0
-	}
-	return ps.NextHappy(slot, t1+1) - t1
-}
-
 // unionGap returns the maximum gap of the union of two arithmetic
 // progressions t ≡ o mod p — the service an edge receives under a *node*
 // schedule, where either endpoint's gathering covers the pair.
@@ -139,14 +129,17 @@ func E20NodeVsEdge(cfg Config) *stats.Table {
 			demands[i] = f.demand
 		}
 		d := buildPoly(f.g, poly.CodeLayering, edges, demands)
-		ps := d.FrozenSchedule()
+		ps, err := d.FrozenSchedule()
+		if err != nil {
+			panic(err)
+		}
 
 		var nodeGap, edgeGap int64
 		for slot, e := range edges {
 			if g := unionGap(db.Period(e.U), db.Offset(e.U), db.Period(e.V), db.Offset(e.V)); g > nodeGap {
 				nodeGap = g
 			}
-			if p := slotPeriod(ps, slot); p > edgeGap {
+			if p := ps.Period(slot); p > edgeGap {
 				edgeGap = p
 			}
 		}
@@ -155,7 +148,7 @@ func E20NodeVsEdge(cfg Config) *stats.Table {
 			nodeCost += float64(f.g.Degree(v)+1) / float64(db.Period(v))
 		}
 		for slot := range edges {
-			if p := slotPeriod(ps, slot); p > 0 {
+			if p := ps.Period(slot); p > 0 {
 				edgeCost += 2 / float64(p)
 			}
 		}

@@ -41,7 +41,7 @@ func TestScheduleAccessPathsAgree(t *testing.T) {
 				e := edges[rng.IntN(len(edges))]
 				d.RemoveEdge(e.u, e.v)
 			}
-			s := d.FrozenSchedule()
+			s := freeze(t, d)
 
 			want := make([][]int, horizon)
 			for tt := int64(1); tt <= horizon; tt++ {

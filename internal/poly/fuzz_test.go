@@ -7,6 +7,7 @@ import (
 
 	"math/rand/v2"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/wire"
 )
@@ -61,7 +62,7 @@ func checkPolyWindowRoundTrip(t *testing.T, seed uint64, n8, m8, churn uint8, fr
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	s := d.FrozenSchedule()
+	s := freeze(t, d)
 	slots := s.Nodes()
 
 	if from < 1 {
@@ -145,7 +146,7 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	type frozen struct {
-		s   *Schedule
+		s   *core.PeriodicSchedule
 		dyn *Dyn // restored copy pinned to the snapshot, for Edge lookups
 	}
 	var cur atomic.Pointer[frozen]
@@ -160,7 +161,7 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur.Store(&frozen{s: d.FrozenSchedule(), dyn: pin})
+	cur.Store(&frozen{s: freeze(t, d), dyn: pin})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -210,7 +211,7 @@ func TestConcurrentChurnAndFrozenReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur.Store(&frozen{s: d.FrozenSchedule(), dyn: pin})
+			cur.Store(&frozen{s: freeze(t, d), dyn: pin})
 		}
 	}
 	close(stop)

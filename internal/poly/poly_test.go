@@ -121,13 +121,23 @@ func TestMatchingEveryTimeslot(t *testing.T) {
 			if err := d.Verify(); err != nil {
 				t.Fatalf("seed %d %s: %v", seed, code, err)
 			}
-			assertMatchings(t, d, d.FrozenSchedule(), 1, 512)
+			assertMatchings(t, d, freeze(t, d), 1, 512)
 		}
 	}
 }
 
+// freeze snapshots d's frozen schedule, failing the test if it is rejected.
+func freeze(t testing.TB, d *Dyn) *core.PeriodicSchedule {
+	t.Helper()
+	s, err := d.FrozenSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // assertMatchings walks the window and fails on any shared endpoint.
-func assertMatchings(t *testing.T, d *Dyn, s *Schedule, from, to int64) {
+func assertMatchings(t *testing.T, d *Dyn, s *core.PeriodicSchedule, from, to int64) {
 	t.Helper()
 	used := make(map[int]int64, 16)
 	s.Window(from, to, func(tt int64, happy []int) {
@@ -202,7 +212,7 @@ func TestChurnKeepsInvariants(t *testing.T) {
 		if err := d.Verify(); err != nil {
 			t.Fatalf("%s final: %v", code, err)
 		}
-		assertMatchings(t, d, d.FrozenSchedule(), 1, 1024)
+		assertMatchings(t, d, freeze(t, d), 1, 1024)
 	}
 }
 
@@ -223,7 +233,7 @@ func TestVacantSlots(t *testing.T) {
 	if d.Slots() != 3 || d.M() != 2 {
 		t.Fatalf("slots %d edges %d, want 3 and 2", d.Slots(), d.M())
 	}
-	s := d.FrozenSchedule()
+	s := freeze(t, d)
 	if s.Nodes() != 3 {
 		t.Fatalf("schedule covers %d slots, want 3", s.Nodes())
 	}
@@ -279,14 +289,14 @@ func TestExportRestoreContinuesIdentically(t *testing.T) {
 				t.Fatalf("%s: edit %+v diverged after restore: %+v vs %+v", code, e, got, want)
 			}
 		}
-		a, b := d.FrozenSchedule(), r.FrozenSchedule()
+		a, b := freeze(t, d), freeze(t, r)
 		if a.Nodes() != b.Nodes() {
 			t.Fatalf("%s: slot counts diverged: %d vs %d", code, a.Nodes(), b.Nodes())
 		}
 		for v := 0; v < a.Nodes(); v++ {
-			if a.periods[v] != b.periods[v] || a.offsets[v] != b.offsets[v] {
+			if a.Period(v) != b.Period(v) || a.Offset(v) != b.Offset(v) {
 				t.Fatalf("%s: slot %d assignment diverged: (%d,%d) vs (%d,%d)",
-					code, v, a.periods[v], a.offsets[v], b.periods[v], b.offsets[v])
+					code, v, a.Period(v), a.Offset(v), b.Period(v), b.Offset(v))
 			}
 		}
 		if d.Relayerings() != r.Relayerings() {

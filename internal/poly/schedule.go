@@ -1,51 +1,13 @@
 package poly
 
-import (
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/graph"
-)
-
-// windowBlock mirrors core: Window and WindowBits bucket holidays in
-// fixed-size chunks so working memory is bounded regardless of span.
-const windowBlock = 4096
-
-// Schedule is the frozen closed form of a poly instance: one (period,
-// offset) pair per edge slot, with period 0 marking a vacant slot that is
-// never happy — the one thing core.NewFixedPeriodic cannot express, which
-// is why poly carries its own copy of the block-walking window math. It
-// implements core.Schedule plus the NodeCounter and BitWindower optional
-// interfaces, so the serving layer's frozen-schedule cache, AppendWindow
-// row reuse, and packed WindowBits emission all work unchanged with edge
-// slots as the entities.
-type Schedule struct {
-	name       string
-	periods    []int64 // per edge slot; 0 = vacant
-	offsets    []int64
-	scratch    sync.Pool // *windowScratch
-	bitScratch sync.Pool // *bitWindowScratch
-}
-
-type windowScratch struct {
-	next    []int64
-	happyAt [][]int
-}
-
-type bitWindowScratch struct {
-	next []int64
-	rows []uint64
-}
-
-var _ core.Schedule = (*Schedule)(nil)
-var _ core.NodeCounter = (*Schedule)(nil)
-var _ core.BitWindower = (*Schedule)(nil)
+import "repro/internal/core"
 
 // FrozenSchedule snapshots the current layer assignment as an immutable
-// random-access Schedule: slot s is happy exactly at t ≡ offset (mod
-// period) of its layer. The snapshot stays valid while the live instance
-// churns on — the serving layer's cache contract.
-func (d *Dyn) FrozenSchedule() *Schedule {
+// random-access core.PeriodicSchedule over edge slots: slot s is happy
+// exactly at t ≡ offset (mod period) of its layer, and a vacant slot gets
+// period 0, which the schedule never makes happy. The snapshot stays valid
+// while the live instance churns on — the serving layer's cache contract.
+func (d *Dyn) FrozenSchedule() (*core.PeriodicSchedule, error) {
 	periods := make([]int64, len(d.slots))
 	offsets := make([]int64, len(d.slots))
 	for i := range d.slots {
@@ -55,171 +17,7 @@ func (d *Dyn) FrozenSchedule() *Schedule {
 		}
 		l := &d.layers[s.layer]
 		periods[i] = l.period
-		offsets[i] = l.offset % l.period
+		offsets[i] = l.offset
 	}
-	return &Schedule{name: d.Name(), periods: periods, offsets: offsets}
-}
-
-// NewSchedule builds a Schedule directly from per-slot periods and
-// offsets; period 0 marks a vacant slot. Used by tests and restore checks;
-// the serving path goes through FrozenSchedule.
-func NewSchedule(name string, periods, offsets []int64) *Schedule {
-	return &Schedule{
-		name:    name,
-		periods: append([]int64(nil), periods...),
-		offsets: append([]int64(nil), offsets...),
-	}
-}
-
-// Name implements core.Schedule.
-func (ps *Schedule) Name() string { return ps.name }
-
-// Nodes implements core.NodeCounter: the entity count is edge slots.
-func (ps *Schedule) Nodes() int { return len(ps.periods) }
-
-// RandomAccess implements core.Schedule: every answer is closed form.
-func (ps *Schedule) RandomAccess() bool { return true }
-
-// HappySet implements core.Schedule: the edge slots meeting at holiday t,
-// in increasing slot order. Disjoint layer classes guarantee the result is
-// always a single layer — a matching.
-func (ps *Schedule) HappySet(t int64) []int {
-	var happy []int
-	for v, p := range ps.periods {
-		if p > 0 && t%p == ps.offsets[v] {
-			happy = append(happy, v)
-		}
-	}
-	return happy
-}
-
-// NextHappy implements core.Schedule: the smallest t ≥ max(from, 1) with
-// t ≡ offset (mod period), or 0 for vacant slots and out-of-range queries.
-func (ps *Schedule) NextHappy(v int, from int64) int64 {
-	if v < 0 || v >= len(ps.periods) || from > core.MaxHoliday {
-		return 0
-	}
-	p := ps.periods[v]
-	if p == 0 {
-		return 0
-	}
-	if from < 1 {
-		from = 1
-	}
-	return from + ((ps.offsets[v]-from)%p+p)%p
-}
-
-// Window implements core.Schedule by walking every live slot's arithmetic
-// progression through the window in windowBlock-sized chunks — the same
-// O(n + window + events) shape as core's periodicSchedule, with vacant
-// slots skipped up front.
-func (ps *Schedule) Window(from, to int64, visit func(t int64, happy []int)) {
-	if to > core.MaxHoliday {
-		to = core.MaxHoliday
-	}
-	if from < 1 || to < from {
-		return
-	}
-	n := len(ps.periods)
-	ws, _ := ps.scratch.Get().(*windowScratch)
-	if ws == nil {
-		ws = &windowScratch{}
-	}
-	defer ps.scratch.Put(ws)
-	if cap(ws.next) < n {
-		ws.next = make([]int64, n)
-	}
-	next := ws.next[:n]
-	for v := 0; v < n; v++ {
-		next[v] = ps.NextHappy(v, from) // 0 for vacant slots
-	}
-	blockLen := to - from + 1
-	if blockLen > windowBlock {
-		blockLen = windowBlock
-	}
-	if int64(cap(ws.happyAt)) < blockLen {
-		grown := make([][]int, blockLen)
-		copy(grown, ws.happyAt[:cap(ws.happyAt)])
-		ws.happyAt = grown
-	}
-	happyAt := ws.happyAt[:blockLen]
-	for blo := from; blo <= to; blo += blockLen {
-		bhi := blo + blockLen - 1
-		if bhi > to {
-			bhi = to
-		}
-		for i := range happyAt[:bhi-blo+1] {
-			happyAt[i] = happyAt[i][:0]
-		}
-		for v := 0; v < n; v++ {
-			t := next[v]
-			if t == 0 {
-				continue
-			}
-			for ; t <= bhi; t += ps.periods[v] {
-				happyAt[t-blo] = append(happyAt[t-blo], v)
-			}
-			next[v] = t
-		}
-		for t := blo; t <= bhi; t++ {
-			visit(t, happyAt[t-blo])
-		}
-	}
-}
-
-// WindowBits implements core.BitWindower: packed ⌈slots/64⌉-word rows
-// OR-ed straight from the arithmetic progressions, vacant slots never set.
-func (ps *Schedule) WindowBits(from, to int64, visit func(t int64, row graph.Bitset)) {
-	if to > core.MaxHoliday {
-		to = core.MaxHoliday
-	}
-	if from < 1 || to < from {
-		return
-	}
-	n := len(ps.periods)
-	words := (n + 63) / 64
-	ws, _ := ps.bitScratch.Get().(*bitWindowScratch)
-	if ws == nil {
-		ws = &bitWindowScratch{}
-	}
-	defer ps.bitScratch.Put(ws)
-	if cap(ws.next) < n {
-		ws.next = make([]int64, n)
-	}
-	next := ws.next[:n]
-	for v := 0; v < n; v++ {
-		next[v] = ps.NextHappy(v, from)
-	}
-	blockLen := to - from + 1
-	if blockLen > windowBlock {
-		blockLen = windowBlock
-	}
-	need := int(blockLen) * words
-	if cap(ws.rows) < need {
-		ws.rows = make([]uint64, need)
-	}
-	rows := ws.rows[:need]
-	for blo := from; blo <= to; blo += blockLen {
-		bhi := blo + blockLen - 1
-		if bhi > to {
-			bhi = to
-		}
-		cnt := int(bhi - blo + 1)
-		clear(rows[:cnt*words])
-		for v := 0; v < n; v++ {
-			t := next[v]
-			if t == 0 {
-				continue
-			}
-			wv, bit := v>>6, uint64(1)<<uint(v&63)
-			for ; t <= bhi; t += ps.periods[v] {
-				rows[int(t-blo)*words+wv] |= bit
-			}
-			next[v] = t
-		}
-		for t := blo; t <= bhi; t++ {
-			i := int(t-blo) * words
-			visit(t, graph.Bitset(rows[i:i+words]))
-		}
-	}
+	return core.NewFixedPeriodic(d.Name(), periods, offsets)
 }

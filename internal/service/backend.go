@@ -55,7 +55,9 @@ type backend interface {
 	// schedules only change when somebody recolors; poly schedules include
 	// the edge slots themselves, so every applied edit changes them.
 	Invalidates(res core.EditResult) bool
-	FrozenSchedule() (core.Schedule, error)
+	// FrozenSchedule snapshots the current assignment as the closed-form
+	// schedule the community caches between invalidations.
+	FrozenSchedule() (*core.PeriodicSchedule, error)
 	// exportInto fills the kind-specific fields of a snapshot.
 	exportInto(st *CommunityState)
 }
@@ -95,7 +97,9 @@ func (b *classicBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (i
 
 func (b *classicBackend) Invalidates(res core.EditResult) bool { return res.Recolored }
 
-func (b *classicBackend) FrozenSchedule() (core.Schedule, error) { return b.dyn.FrozenSchedule() }
+func (b *classicBackend) FrozenSchedule() (*core.PeriodicSchedule, error) {
+	return b.dyn.FrozenSchedule()
+}
 
 func (b *classicBackend) exportInto(st *CommunityState) {
 	g := b.dyn.Graph()
@@ -166,7 +170,7 @@ func (b *polyBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int,
 // insert between differently colored families leaves every answer valid.
 func (b *polyBackend) Invalidates(res core.EditResult) bool { return res.Applied }
 
-func (b *polyBackend) FrozenSchedule() (core.Schedule, error) { return b.dyn.FrozenSchedule(), nil }
+func (b *polyBackend) FrozenSchedule() (*core.PeriodicSchedule, error) { return b.dyn.FrozenSchedule() }
 
 func (b *polyBackend) exportInto(st *CommunityState) {
 	st.Kind = KindPoly
