@@ -12,8 +12,8 @@
 // With -demo, a community named "demo" is created at startup from the graph
 // spec (see internal/graph.ParseSpec), so the API is queryable immediately:
 //
-//	curl 'localhost:8080/communities/demo/window?from=1&to=52'
-//	curl 'localhost:8080/communities/demo/families/3/next?from=10'
+//	curl 'localhost:8080/v1/communities/demo/window?from=1&to=52'
+//	curl 'localhost:8080/v1/communities/demo/families/3/next?from=10'
 //
 // With -data-dir, the registry is durable: every mutation is written to an
 // append-only WAL before it is acknowledged, the registry is snapshotted
@@ -158,7 +158,7 @@ func main() {
 		}
 	}
 
-	var reg *service.Registry
+	var reg *service.Owner
 	var store *persist.Store
 	if *dataDir != "" {
 		opts := persist.Options{Sync: persist.SyncBatch, SyncInterval: *walSync}
@@ -176,7 +176,7 @@ func main() {
 		}
 		log.Printf("restored %d communities from %s", len(reg.List()), *dataDir)
 	} else {
-		reg = service.NewRegistry()
+		reg = service.New(service.Opts{})
 	}
 
 	// In cluster mode the node's journal is wrapped in a replication source:
@@ -411,7 +411,7 @@ func main() {
 // startFollowers subscribes this node to the peers named by the -follow
 // flag ("all" or a comma-separated id list), each replicating exactly the
 // communities the router places on that peer.
-func startFollowers(ctx context.Context, reg *service.Registry, router *service.Router, self, follow string) map[string]*cluster.Follower {
+func startFollowers(ctx context.Context, reg *service.Owner, router *service.Router, self, follow string) map[string]*cluster.Follower {
 	var peers []service.Node
 	if follow == "all" {
 		for _, n := range router.Nodes() {
@@ -507,7 +507,7 @@ func admissionLimit(h http.Handler, qps int) http.Handler {
 }
 
 // closeStore snapshots (when graceful) and closes the durability store.
-func closeStore(store *persist.Store, reg *service.Registry, snapshot bool) {
+func closeStore(store *persist.Store, reg *service.Owner, snapshot bool) {
 	if store == nil {
 		return
 	}

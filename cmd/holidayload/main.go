@@ -1,7 +1,7 @@
 // Command holidayload is the load generator and perf tracker for the
 // serving layer: it drives a named multi-community workload (mixes of
 // window, next-happy, and marry/divorce churn ops over G(n,p)/ring/clique
-// communities) either in-process against a fresh service.Registry or over
+// communities) either in-process against a fresh service.Owner or over
 // HTTP against a live holidayd, records latency quantiles, throughput,
 // cache hit ratio, and allocation counts into a BENCH_<rev>.json snapshot,
 // and can compare the run against a prior snapshot with a regression
@@ -204,7 +204,7 @@ func main() {
 			httpDriver.Proto = *proto
 			driver = httpDriver
 		} else {
-			inproc := benchkit.NewInProcDriver(service.NewRegistry())
+			inproc := benchkit.NewInProcDriver(service.New(service.Opts{}))
 			inproc.ForcePersist = *persist
 			inproc.SyncEveryOp = *syncAlways
 			driver = inproc
@@ -353,7 +353,7 @@ func diffWindow(target, spec string) error {
 	}
 	base := strings.TrimRight(target, "/")
 
-	resp, err := http.Get(fmt.Sprintf("%s/communities/%s/window?from=%d&to=%d", base, url.PathEscape(id), from, to))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/communities/%s/window?from=%d&to=%d", base, url.PathEscape(id), from, to))
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func TestValidateTarget(t *testing.T) {
 // TestDiffWindow: the smoke-level binary≡JSON check against a live handler,
 // including spec parsing errors and a mismatching community.
 func TestDiffWindow(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}, {0, 2}}, ""); err != nil {
 		t.Fatal(err)
 	}

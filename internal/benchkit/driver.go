@@ -59,11 +59,11 @@ type Driver interface {
 	Close() error
 }
 
-// InProcDriver drives a service.Registry in the same process — the
+// InProcDriver drives a service.Owner in the same process — the
 // lowest-overhead view of the serving path, and the one whose allocation
 // counts are meaningful.
 type InProcDriver struct {
-	reg     *service.Registry
+	reg     *service.Owner
 	comms   []*service.Community
 	rows    sync.Pool // *[]service.HolidayRow window buffers, reused across ops
 	batches sync.Pool // *churnBatches grouping state, reused across DoBatch calls
@@ -84,7 +84,7 @@ type InProcDriver struct {
 }
 
 // NewInProcDriver wraps a registry (usually a fresh one).
-func NewInProcDriver(reg *service.Registry) *InProcDriver {
+func NewInProcDriver(reg *service.Owner) *InProcDriver {
 	return &InProcDriver{
 		reg:     reg,
 		rows:    sync.Pool{New: func() any { return new([]service.HolidayRow) }},
@@ -397,7 +397,7 @@ func (d *HTTPDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: community %q: %w", cs.ID, err)
 		}
-		req, err := http.NewRequest(http.MethodDelete, d.base+"/communities/"+url.PathEscape(cs.ID), nil)
+		req, err := http.NewRequest(http.MethodDelete, d.base+"/v1/communities/"+url.PathEscape(cs.ID), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +424,7 @@ func (d *HTTPDriver) Setup(sc *Scenario, seed uint64) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := d.client.Post(d.base+"/communities", "application/json", bytes.NewReader(body))
+		resp, err := d.client.Post(d.base+"/v1/communities", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: create %q: %w", cs.ID, err)
 		}
@@ -447,14 +447,14 @@ func (d *HTTPDriver) Do(op Op) error {
 	id := url.PathEscape(d.ids[op.Community])
 	switch op.Kind {
 	case OpWindow:
-		resp, err := d.client.Get(d.base + "/communities/" + id + "/window?from=" +
+		resp, err := d.client.Get(d.base + "/v1/communities/" + id + "/window?from=" +
 			strconv.FormatInt(op.From, 10) + "&to=" + strconv.FormatInt(op.To, 10))
 		if err != nil {
 			return err
 		}
 		return drainExpect(resp, http.StatusOK)
 	case OpNext:
-		resp, err := d.client.Get(d.base + "/communities/" + id + "/families/" +
+		resp, err := d.client.Get(d.base + "/v1/communities/" + id + "/families/" +
 			strconv.Itoa(op.U) + "/next?from=" + strconv.FormatInt(op.From, 10))
 		if err != nil {
 			return err
@@ -462,13 +462,13 @@ func (d *HTTPDriver) Do(op Op) error {
 		return drainExpect(resp, http.StatusOK)
 	case OpMarry:
 		body, _ := json.Marshal(map[string]int{"u": op.U, "v": op.V})
-		resp, err := d.client.Post(d.base+"/communities/"+id+"/edges", "application/json", bytes.NewReader(body))
+		resp, err := d.client.Post(d.base+"/v1/communities/"+id+"/edges", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}
 		return drainExpect(resp, http.StatusOK)
 	case OpDivorce:
-		req, err := http.NewRequest(http.MethodDelete, d.base+"/communities/"+id+"/edges?u="+
+		req, err := http.NewRequest(http.MethodDelete, d.base+"/v1/communities/"+id+"/edges?u="+
 			strconv.Itoa(op.U)+"&v="+strconv.Itoa(op.V), nil)
 		if err != nil {
 			return err
@@ -680,7 +680,7 @@ func (d *HTTPDriver) PolyStats() (edges int64, maxGap float64, err error) {
 func (d *HTTPDriver) Close() error {
 	var firstErr error
 	for _, id := range d.ids {
-		req, err := http.NewRequest(http.MethodDelete, d.base+"/communities/"+url.PathEscape(id), nil)
+		req, err := http.NewRequest(http.MethodDelete, d.base+"/v1/communities/"+url.PathEscape(id), nil)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -735,7 +735,7 @@ func (d *HTTPDriver) recoloringsOf(community int) (int64, error) {
 
 // statsOf fetches one community's stats.
 func (d *HTTPDriver) statsOf(id string) (service.Stats, error) {
-	resp, err := d.client.Get(d.base + "/communities/" + url.PathEscape(id))
+	resp, err := d.client.Get(d.base + "/v1/communities/" + url.PathEscape(id))
 	if err != nil {
 		return service.Stats{}, err
 	}

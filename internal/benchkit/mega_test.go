@@ -145,7 +145,7 @@ func TestRunMegaCIBatched(t *testing.T) {
 	}
 	short := *sc
 	short.Duration = 250 * time.Millisecond
-	d := NewInProcDriver(service.NewRegistry())
+	d := NewInProcDriver(service.New(service.Opts{}))
 	snap, err := Run(&short, d, Options{Seed: 17, Workers: 2, Batch: 16, Rev: "test"})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestRunMegaCIBatched(t *testing.T) {
 
 // TestRunUnbatchedHasNoBatchKey: the reserved key only appears for Batch > 1.
 func TestRunUnbatchedHasNoBatchKey(t *testing.T) {
-	d := NewInProcDriver(service.NewRegistry())
+	d := NewInProcDriver(service.New(service.Opts{}))
 	snap, err := Run(testScenario(), d, Options{Seed: 3, Workers: 2, Rev: "test"})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestInProcDoBatchMatchesSequential(t *testing.T) {
 		Horizon:     1 << 16,
 	}
 	run := func(batch int) (*InProcDriver, []error) {
-		d := NewInProcDriver(service.NewRegistry())
+		d := NewInProcDriver(service.New(service.Opts{}))
 		sizes, err := d.Setup(sc, 99)
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +300,7 @@ func TestInProcDoBatchMatchesSequential(t *testing.T) {
 // TestHTTPRecolorings: the HTTP driver's recoloring probe sums the stats
 // endpoint across the scenario's communities.
 func TestHTTPRecolorings(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	hs := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
 	defer hs.Close()
 	d := NewHTTPDriver(hs.URL, 1)

@@ -42,7 +42,7 @@ func checkPolySnapshot(t *testing.T, s *Snapshot, wantDriver string) {
 // in-process driver: the run must complete error-free, record the schema-5
 // edges/max_gap_ratio totals, and self-compare cleanly.
 func TestRunPolyInProc(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	d := NewInProcDriver(reg)
 	snap, err := Run(testPolyScenario(), d, Options{Seed: 3, Workers: 2, Rev: "test"})
 	if err != nil {
@@ -72,7 +72,7 @@ func TestRunPolyInProc(t *testing.T) {
 // kind-dispatching creates, slot-indexed reads, demand-default churn, and
 // the stats-endpoint poly probe.
 func TestRunPolyHTTP(t *testing.T) {
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	srv := httptest.NewServer(service.NewHandler(service.HandlerOpts{Owner: reg}))
 	defer srv.Close()
 	d := NewHTTPDriver(srv.URL, 2)

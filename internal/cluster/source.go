@@ -9,7 +9,7 @@
 // ring still covers that point the owner streams just the missing records,
 // otherwise it first sends one Snapshot frame per community (the exported
 // CommunityState, cutoff-stamped) and then the ring — replay through
-// Registry.Apply is idempotent against the cutoffs, so the overlap is
+// Owner.Apply is idempotent against the cutoffs, so the overlap is
 // harmless. Heartbeat frames advertise the last sequence streamed to the
 // subscriber, so an idle follower still learns it is caught up and can
 // measure lag.

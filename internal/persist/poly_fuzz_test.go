@@ -80,7 +80,7 @@ func checkPolyWAL(t *testing.T, data []byte, mutated bool) {
 	if end > int64(len(data)) || (end > 0 && data[end-1] != '\n') {
 		t.Fatalf("accepted prefix ends at %d of %d, not a record boundary", end, len(data))
 	}
-	reg := service.NewRegistry()
+	reg := service.New(service.Opts{})
 	for _, wr := range recs {
 		if err := reg.Apply(wr.Seq, wr.Record); err != nil {
 			if mutated {
@@ -97,7 +97,7 @@ func checkPolyWAL(t *testing.T, data []byte, mutated bool) {
 	if !mutated && (st.Kind != service.KindPoly || st.Poly == nil) {
 		t.Fatalf("replayed community exported kind %q (poly state %v)", st.Kind, st.Poly != nil)
 	}
-	reg2 := service.NewRegistry()
+	reg2 := service.New(service.Opts{})
 	c2, err := reg2.Restore(st)
 	if err != nil {
 		t.Fatalf("restoring the replayed export: %v", err)

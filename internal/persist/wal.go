@@ -36,7 +36,7 @@ const (
 )
 
 // WAL is the append-only churn log. It implements service.Journal, so
-// attaching it to a registry (Registry.SetJournal) makes every mutation
+// attaching it to a registry (Owner.SetJournal) makes every mutation
 // durable. Safe for concurrent Log calls.
 type WAL struct {
 	mu     sync.Mutex

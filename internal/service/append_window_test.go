@@ -12,7 +12,7 @@ import (
 // marshal "happy":[] — never null — whether the row slot is fresh or
 // pooled/reused (the wire format must not depend on pool history).
 func TestAppendWindowEmptyHolidayMarshalsArray(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	// A triangle has colors {1,2,3} → periods up to 8; some holidays in
 	// [1,8] have an empty happy set.
 	c, err := reg.Create("c", 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, "")
@@ -56,7 +56,7 @@ func TestAppendWindowEmptyHolidayMarshalsArray(t *testing.T) {
 // TestAppendWindowMatchesWindow: the reusing path returns exactly the rows
 // of the allocating path, appended after any existing prefix.
 func TestAppendWindowMatchesWindow(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 12, ringEdges(12), "")
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestAppendWindowMatchesWindow(t *testing.T) {
 // the row slice and the happy-set backing arrays — the steady state the
 // HTTP handler and the load generator rely on for allocation-free serving.
 func TestAppendWindowReusesBuffers(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 16, ringEdges(16), "")
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestAppendWindowReusesBuffers(t *testing.T) {
 // TestNextHappyValidation: the single-lock fast path still rejects unknown
 // families and out-of-range holidays.
 func TestNextHappyValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 8, ringEdges(8), "")
 	if err != nil {
 		t.Fatal(err)

@@ -42,13 +42,12 @@ type backend interface {
 	Repairs() int64
 	AddNode() int
 	HasEdge(u, v int) bool
-	// AddEdge inserts an edge; demand is resolved per kind (classic ignores
-	// it, poly substitutes the community default for 0).
-	AddEdge(u, v int, demand int64) (core.EditResult, error)
-	RemoveEdge(u, v int) core.EditResult
 	// ApplyBatch applies validated edits in order, filling out (same length)
 	// with per-edit outcomes, byte-identical to one-at-a-time application.
-	// The returned count is the batch's Repairs delta.
+	// Insert demands are resolved per kind (classic ignores them, poly
+	// substitutes the community default for 0). The returned count is the
+	// batch's Repairs delta. Every marriage and divorce — single ops, batches
+	// and WAL replay — goes through it.
 	ApplyBatch(edits []core.Edit, out []core.EditResult) (repairs int, err error)
 	// Invalidates reports whether an edit's outcome requires dropping the
 	// cached frozen schedule (and ticking the community version). Classic
@@ -76,21 +75,6 @@ func (b *classicBackend) Repairs() int64        { return b.dyn.Recolorings }
 func (b *classicBackend) AddNode() int          { return b.dyn.AddNode() }
 func (b *classicBackend) HasEdge(u, v int) bool { return b.dyn.HasEdge(u, v) }
 
-func (b *classicBackend) AddEdge(u, v int, _ int64) (core.EditResult, error) {
-	mBefore := b.dyn.M()
-	recolored, err := b.dyn.AddEdge(u, v)
-	if err != nil {
-		return core.EditResult{}, err
-	}
-	return core.EditResult{Applied: b.dyn.M() != mBefore, Recolored: recolored}, nil
-}
-
-func (b *classicBackend) RemoveEdge(u, v int) core.EditResult {
-	before := b.dyn.Recolorings
-	removed := b.dyn.RemoveEdge(u, v)
-	return core.EditResult{Applied: removed, Recolored: b.dyn.Recolorings > before}
-}
-
 func (b *classicBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int, error) {
 	return b.dyn.ApplyBatchResults(edits, out)
 }
@@ -104,10 +88,7 @@ func (b *classicBackend) FrozenSchedule() (*core.PeriodicSchedule, error) {
 func (b *classicBackend) exportInto(st *CommunityState) {
 	g := b.dyn.Graph()
 	st.Families = g.N()
-	st.Edges = make([][2]int, 0, g.M())
-	for _, e := range g.Edges() {
-		st.Edges = append(st.Edges, [2]int{e.U, e.V})
-	}
+	st.Edges = edgeList(g)
 	st.Code = b.dyn.Code().Name()
 	st.Coloring = b.dyn.Coloring()
 	st.Recolorings = b.dyn.Recolorings
@@ -139,24 +120,15 @@ func (b *polyBackend) demand(d int64) int64 {
 	return poly.ClampDemand(d)
 }
 
-func (b *polyBackend) AddEdge(u, v int, demand int64) (core.EditResult, error) {
-	applied, relayered := b.dyn.AddEdge(u, v, b.demand(demand))
-	return core.EditResult{Applied: applied, Recolored: relayered}, nil
-}
-
-func (b *polyBackend) RemoveEdge(u, v int) core.EditResult {
-	return core.EditResult{Applied: b.dyn.RemoveEdge(u, v)}
-}
-
 func (b *polyBackend) ApplyBatch(edits []core.Edit, out []core.EditResult) (int, error) {
 	before := b.dyn.Relayerings()
 	for i, e := range edits {
 		switch e.Op {
 		case core.EditInsert:
-			res, _ := b.AddEdge(e.U, e.V, e.Demand)
-			out[i] = res
+			applied, relayered := b.dyn.AddEdge(e.U, e.V, b.demand(e.Demand))
+			out[i] = core.EditResult{Applied: applied, Recolored: relayered}
 		case core.EditDelete:
-			out[i] = b.RemoveEdge(e.U, e.V)
+			out[i] = core.EditResult{Applied: b.dyn.RemoveEdge(e.U, e.V)}
 		default:
 			// Unreachable: the caller validated ops. Surface, don't swallow.
 			return int(b.dyn.Relayerings() - before), fmt.Errorf("poly: batch edit %d has unknown op %d", i, e.Op)

@@ -24,10 +24,10 @@ const DefaultChurnFlushInterval = 2 * time.Millisecond
 // Every edit is validated before anything is journaled or applied, so an
 // invalid batch is all-or-nothing. Edits that would not change the edge set
 // (re-marrying a married couple, divorcing strangers) are applied as no-ops
-// and — like their single-op counterparts — excluded from the journal, so
-// replay stays minimal. Batch application is byte-identical to sequential
-// application by construction (see core.ApplyBatch), which is what lets WAL
-// replay apply the same records one at a time.
+// and excluded from the journal, so replay stays minimal. Batch application
+// is byte-identical to sequential application by construction (see
+// core.ApplyBatch), which is what lets WAL replay apply the same records
+// one at a time — and lets Marry and Divorce be one-edit batches.
 //
 // out, when non-nil, must have one slot per edit and receives what each
 // edit did.
@@ -38,61 +38,91 @@ func (c *Community) ChurnBatch(edits []core.Edit, out []core.EditResult) (recolo
 	if len(edits) == 0 {
 		return 0, nil
 	}
+	if out == nil {
+		out = make([]core.EditResult, len(edits))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.churnLocked(edits, out)
+}
+
+// churnOne applies one edit as a one-edit batch through the community's
+// scratch slots, so single-op churn allocates nothing.
+func (c *Community) churnOne(e core.Edit) (core.EditResult, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.one[0] = e
+	if _, err := c.churnLocked(c.one[:], c.oneRes[:]); err != nil {
+		return core.EditResult{}, err
+	}
+	return c.oneRes[0], nil
+}
+
+// churnLocked is the one write path of marriages and divorces: it rejects
+// fenced communities, validates every edit, journals the effective ones
+// write-ahead, and applies the batch. res has one slot per edit. Caller
+// holds c.mu.
+func (c *Community) churnLocked(edits []core.Edit, res []core.EditResult) (recolorings int, err error) {
 	if err := c.fencedErrLocked(); err != nil {
 		return 0, err
 	}
-	n := c.be.N()
-	for i, e := range edits {
-		if e.Op != core.EditInsert && e.Op != core.EditDelete {
-			return 0, fmt.Errorf("service: community %q: batch edit %d has unknown op %d", c.id, i, e.Op)
-		}
-		if err := validEdge(n, e.U, e.V); err != nil {
-			return 0, fmt.Errorf("service: community %q: batch edit %d: %w", c.id, i, err)
-		}
+	if err := c.validLocked(edits); err != nil {
+		return 0, fmt.Errorf("service: community %q: %w", c.id, err)
 	}
 	// Write-ahead: journal before applying. Which edits are effective (will
 	// change the edge set) is predicted by replaying the batch against
 	// current adjacency plus an in-batch overlay — the same rule ApplyBatch
 	// uses — so only effective edits are logged, without applying first.
-	if c.reg != nil && c.reg.getJournal() != nil {
-		if err := c.logBatchLocked(c.effectiveRecords(edits)); err != nil {
+	if c.journal() != nil {
+		if err := c.logLocked(c.effectiveRecords(edits)); err != nil {
 			return 0, err
 		}
 	}
-	res := out
-	if res == nil {
-		res = make([]core.EditResult, len(edits))
+	return c.applyLocked(edits, res)
+}
+
+// validLocked checks every edit's op and endpoints against the current
+// family count. Caller holds c.mu.
+func (c *Community) validLocked(edits []core.Edit) error {
+	n := c.be.N()
+	for i, e := range edits {
+		if e.Op != core.EditInsert && e.Op != core.EditDelete {
+			return fmt.Errorf("edit %d has unknown op %d", i, e.Op)
+		}
+		if err := validEdge(n, e.U, e.V); err != nil {
+			if len(edits) > 1 {
+				err = fmt.Errorf("edit %d: %w", i, err)
+			}
+			return err
+		}
 	}
+	return nil
+}
+
+// applyLocked applies validated edits — the step live churn and WAL replay
+// share. The cache is dropped at most once, but version advances exactly as
+// one-at-a-time churn would advance it — one tick per invalidating edit
+// (recolorings for classic, applied edits for poly) — because version is
+// persisted and replay, which applies a batch's records individually, must
+// land on the same value. Caller holds c.mu.
+func (c *Community) applyLocked(edits []core.Edit, res []core.EditResult) (recolorings int, err error) {
 	recolorings, err = c.be.ApplyBatch(edits, res)
 	if err != nil {
-		// Unreachable: the batch was validated above. Surface rather than
-		// swallow if core's rules ever drift.
+		// Unreachable: the batch was validated. Surface rather than swallow
+		// if core's rules ever drift.
 		return recolorings, fmt.Errorf("service: community %q: %w", c.id, err)
 	}
-	// The cache is dropped at most once per flush, but version must advance
-	// exactly as one-at-a-time churn would have advanced it — one tick per
-	// invalidating edit (recolorings for classic, applied edits for poly) —
-	// because version is persisted and WAL replay (which applies the
-	// flush's records individually) must land on the same value.
-	if events := countInvalidating(c.be, res); events > 0 {
+	events := 0
+	for _, r := range res {
+		if c.be.Invalidates(r) {
+			events++
+		}
+	}
+	if events > 0 {
 		c.cached = nil
 		c.version += int64(events)
 	}
 	return recolorings, nil
-}
-
-// countInvalidating counts the edits of a batch whose outcome invalidates
-// the kind's cached schedule.
-func countInvalidating(be backend, res []core.EditResult) int {
-	n := 0
-	for _, r := range res {
-		if be.Invalidates(r) {
-			n++
-		}
-	}
-	return n
 }
 
 // effectiveRecords returns journal records for exactly the edits that will
@@ -121,35 +151,6 @@ func (c *Community) effectiveRecords(edits []core.Edit) []Record {
 		}
 	}
 	return recs
-}
-
-// logBatchLocked write-ahead logs a flush's effective records, in one append
-// when the journal supports it, and advances the community's sequence to the
-// last record's. Caller holds c.mu.
-func (c *Community) logBatchLocked(recs []Record) error {
-	if len(recs) == 0 || c.reg == nil {
-		return nil
-	}
-	j := c.reg.getJournal()
-	if j == nil {
-		return nil
-	}
-	if bj, ok := j.(BatchJournal); ok {
-		seq, err := bj.LogBatch(recs)
-		if err != nil {
-			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
-		}
-		c.seq = seq
-		return nil
-	}
-	for _, rec := range recs {
-		seq, err := j.Log(rec)
-		if err != nil {
-			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
-		}
-		c.seq = seq
-	}
-	return nil
 }
 
 // Coalescer turns independent single churn ops into per-community
@@ -219,7 +220,8 @@ func (co *Coalescer) Churn(c *Community, e core.Edit) (core.EditResult, error) {
 	co.mu.Lock()
 	if co.closed || co.maxBatch < 2 {
 		co.mu.Unlock()
-		return co.direct(c, e)
+		co.flushes.Add(1)
+		return c.churnOne(e)
 	}
 	b := co.pending[c]
 	if b == nil {
@@ -291,13 +293,4 @@ func (co *Coalescer) flush(b *pendingChurn) {
 	for i, ch := range b.done {
 		ch <- churnOutcome{res: res[i], err: err}
 	}
-}
-
-// direct applies one edit as a single-op batch, preserving ChurnBatch's
-// validation and journaling semantics.
-func (co *Coalescer) direct(c *Community, e core.Edit) (core.EditResult, error) {
-	co.flushes.Add(1)
-	var res [1]core.EditResult
-	_, err := c.ChurnBatch([]core.Edit{e}, res[:])
-	return res[0], err
 }

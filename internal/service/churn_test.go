@@ -32,7 +32,8 @@ func randomBatch(r *rand.Rand, n, k int) []core.Edit {
 }
 
 // answerKey condenses a community's externally observable schedule: window
-// rows plus next-happy answers. Equal keys mean byte-identical responses.
+// rows plus next-happy answers for every schedule entity (families for
+// classic, edge slots for poly). Equal keys mean byte-identical responses.
 func answerKey(t *testing.T, c *Community) string {
 	t.Helper()
 	rows, err := c.Window(1, 96)
@@ -43,7 +44,11 @@ func answerKey(t *testing.T, c *Community) string {
 	for _, r := range rows {
 		s += fmt.Sprintf("%d:%v;", r.Holiday, r.Happy)
 	}
-	for v := 0; v < c.Families(); v++ {
+	sched, err := c.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < sched.(core.NodeCounter).Nodes(); v++ {
 		n, err := c.NextHappy(v, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -54,81 +59,136 @@ func answerKey(t *testing.T, c *Community) string {
 }
 
 // TestChurnBatchMatchesSingleOps is the serving-layer half of the
-// differential acceptance test: the same edit stream applied via ChurnBatch
-// and via one-at-a-time Marry/Divorce must produce byte-identical window and
-// next-happy answers after every flush, identical per-edit outcomes, and —
-// with journals attached — an identical record stream (so replaying a
-// batch-written WAL reconstructs the same state one record at a time).
+// differential acceptance test, for both kinds: the same edit stream applied
+// via ChurnBatch and via one-at-a-time Marry/Divorce must produce
+// byte-identical window and next-happy answers after every flush, identical
+// per-edit outcomes, and — with journals attached — an identical record
+// stream. Replaying that stream one record at a time must reconstruct the
+// same exported state (version, recolorings, coloring or poly instance, and
+// seq) as both live paths.
 func TestChurnBatchMatchesSingleOps(t *testing.T) {
-	regB, regS := NewRegistry(), NewRegistry()
-	jB, jS := &memJournal{}, &memJournal{}
-	regB.SetJournal(jB)
-	regS.SetJournal(jS)
-	const n = 28
-	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}}
-	batched, err := regB.Create("c", n, edges, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := regS.Create("c", n, edges, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, kind := range []string{KindClassic, KindPoly} {
+		t.Run(kind, func(t *testing.T) {
+			regB, regS := New(Opts{}), New(Opts{})
+			jB, jS := &memJournal{}, &memJournal{}
+			regB.SetJournal(jB)
+			regS.SetJournal(jS)
+			const n = 28
+			spec := CreateSpec{ID: "c", Families: n, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}}, Kind: kind}
+			batched, err := regB.CreateSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := regS.CreateSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	r := rand.New(rand.NewPCG(21, 5))
-	for round := 0; round < 40; round++ {
-		edits := randomBatch(r, n, 1+r.IntN(32))
-		res := make([]core.EditResult, len(edits))
-		if _, err := batched.ChurnBatch(edits, res); err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range edits {
-			if e.Op == core.EditInsert {
-				recolored, err := single.Marry(e.U, e.V)
-				if err != nil {
+			r := rand.New(rand.NewPCG(21, 5))
+			for round := 0; round < 40; round++ {
+				edits := randomBatch(r, n, 1+r.IntN(32))
+				if kind == KindPoly {
+					for i := range edits {
+						if edits[i].Op == core.EditInsert {
+							edits[i].Demand = int64(r.IntN(12)) // 0 takes the default
+						}
+					}
+				}
+				res := make([]core.EditResult, len(edits))
+				if _, err := batched.ChurnBatch(edits, res); err != nil {
 					t.Fatal(err)
 				}
-				if res[i].Recolored != recolored {
-					t.Fatalf("round %d edit %d: batch recolored=%v, single %v", round, i, res[i].Recolored, recolored)
+				for i, e := range edits {
+					if e.Op == core.EditInsert {
+						recolored, err := single.MarryDemand(e.U, e.V, e.Demand)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res[i].Recolored != recolored {
+							t.Fatalf("round %d edit %d: batch recolored=%v, single %v", round, i, res[i].Recolored, recolored)
+						}
+					} else {
+						removed, recolored, err := single.Divorce(e.U, e.V)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res[i].Applied != removed || res[i].Recolored != recolored {
+							t.Fatalf("round %d edit %d: batch %+v, single removed=%v recolored=%v", round, i, res[i], removed, recolored)
+						}
+					}
 				}
-			} else {
-				removed, recolored, err := single.Divorce(e.U, e.V)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res[i].Applied != removed || res[i].Recolored != recolored {
-					t.Fatalf("round %d edit %d: batch %+v, single removed=%v recolored=%v", round, i, res[i], removed, recolored)
+				if kb, ks := answerKey(t, batched), answerKey(t, single); kb != ks {
+					t.Fatalf("round %d: batch and single-op answers diverged", round)
 				}
 			}
-		}
-		if kb, ks := answerKey(t, batched), answerKey(t, single); kb != ks {
-			t.Fatalf("round %d: batch and single-op answers diverged", round)
-		}
-	}
-	if !reflect.DeepEqual(jB.recs, jS.recs) {
-		t.Fatalf("journal streams diverged:\n batch:  %d recs\n single: %d recs", len(jB.recs), len(jS.recs))
-	}
+			if !reflect.DeepEqual(jB.recs, jS.recs) {
+				t.Fatalf("journal streams diverged:\n batch:  %d recs\n single: %d recs", len(jB.recs), len(jS.recs))
+			}
 
-	// The batch path's journal stream replays into the same answers.
-	regR := NewRegistry()
-	for i, rec := range jB.recs {
-		if err := regR.Apply(uint64(i+1), rec); err != nil {
-			t.Fatal(err)
-		}
+			// The batch path's journal stream replays into the same answers
+			// and the same exported state.
+			regR := New(Opts{})
+			for i, rec := range jB.recs {
+				if err := regR.Apply(uint64(i+1), rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			replayed, ok := regR.Get("c")
+			if !ok {
+				t.Fatal("replayed registry lost the community")
+			}
+			if answerKey(t, replayed) != answerKey(t, batched) {
+				t.Fatal("replaying the batch-written journal produced different answers")
+			}
+			want := batched.Export()
+			if want.Version == 0 || want.Seq != uint64(len(jB.recs)) {
+				t.Fatalf("batched export: version %d, seq %d over %d records", want.Version, want.Seq, len(jB.recs))
+			}
+			for name, c := range map[string]*Community{"single-op": single, "replayed": replayed} {
+				if got := c.Export(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s export differs from batched:\n got  %+v\n want %+v", name, got, want)
+				}
+			}
+		})
 	}
-	replayed, ok := regR.Get("c")
-	if !ok {
-		t.Fatal("replayed registry lost the community")
-	}
-	if answerKey(t, replayed) != answerKey(t, batched) {
-		t.Fatal("replaying the batch-written journal produced different answers")
+}
+
+// TestSingleOpChurnAllocs: Marry and Divorce are one-edit batches run
+// through the community's scratch slots, so without a journal they allocate
+// nothing on either kind.
+func TestSingleOpChurnAllocs(t *testing.T) {
+	for _, kind := range []string{KindClassic, KindPoly} {
+		t.Run(kind, func(t *testing.T) {
+			c, err := New(Opts{}).CreateSpec(CreateSpec{ID: "c", Families: 8, Edges: [][2]int{{0, 1}, {2, 3}}, Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm the backend's scratch once so the measured runs are steady.
+			if _, err := c.Marry(4, 5); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.Divorce(4, 5); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := c.Marry(4, 5); err != nil {
+					t.Fatal(err)
+				}
+				if removed, _, err := c.Divorce(4, 5); err != nil || !removed {
+					t.Fatalf("divorce: removed=%v err=%v", removed, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Marry+Divorce: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestChurnBatchJournalsOnlyEffectiveEdits: no-op edits (including in-batch
 // cancellations) never reach the journal.
 func TestChurnBatchJournalsOnlyEffectiveEdits(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 6, [][2]int{{0, 1}}, "")
@@ -166,7 +226,7 @@ func TestChurnBatchJournalsOnlyEffectiveEdits(t *testing.T) {
 // TestChurnBatchWriteAhead: a journal failure aborts the whole batch before
 // anything is applied.
 func TestChurnBatchWriteAhead(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 4, [][2]int{{0, 1}}, "")
@@ -194,7 +254,7 @@ func TestChurnBatchWriteAhead(t *testing.T) {
 // TestChurnBatchValidation: one invalid edit fails the batch with nothing
 // applied or journaled.
 func TestChurnBatchValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &memJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 4, nil, "")
@@ -245,7 +305,7 @@ func (j *batchingJournal) LogBatch(recs []Record) (uint64, error) {
 // TestChurnBatchUsesBatchJournal: a journal implementing BatchJournal gets
 // one LogBatch call per flush, not K Log calls.
 func TestChurnBatchUsesBatchJournal(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &batchingJournal{}
 	reg.SetJournal(j)
 	c, err := reg.Create("c", 8, nil, "")
@@ -274,7 +334,7 @@ func TestChurnBatchUsesBatchJournal(t *testing.T) {
 // far fewer flushes, every op is answered correctly, and the community stays
 // consistent.
 func TestCoalescerBatchesConcurrentChurn(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	j := &batchingJournal{}
 	reg.SetJournal(j)
 	const n = 128
@@ -346,7 +406,7 @@ func TestCoalescerBatchesConcurrentChurn(t *testing.T) {
 // TestCoalescerTimerFlush: a lone op below the size trigger still completes
 // within the time bound.
 func TestCoalescerTimerFlush(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 4, nil, "")
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +429,7 @@ func TestCoalescerTimerFlush(t *testing.T) {
 // TestCoalescerCloseFlushesPending: Close drains open batches, and later
 // ops fall back to direct application.
 func TestCoalescerCloseFlushesPending(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	c, err := reg.Create("c", 4, nil, "")
 	if err != nil {
 		t.Fatal(err)

@@ -125,36 +125,6 @@ func TestForwardLoopGuard(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesDeprecated: unversioned aliases still work and carry the
-// Deprecation header; /v1 routes don't.
-func TestLegacyRoutesDeprecated(t *testing.T) {
-	cns := startCluster(t, 1)
-	id := pickPlacement(t, cns, cns[0].id)
-	body := fmt.Sprintf(`{"id":%q,"families":3}`, id)
-	resp, err := http.Post(cns[0].url+"/communities", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("post: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create: status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Fatal("legacy route carries no Deprecation header")
-	}
-	v1, err := http.Get(cns[0].url + "/v1/communities/" + id + "/window?from=1&to=5")
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	v1.Body.Close()
-	if v1.StatusCode != http.StatusOK {
-		t.Fatalf("/v1 window: status %d", v1.StatusCode)
-	}
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a Deprecation header")
-	}
-}
-
 // TestStatusEndpoint: /v1/status reports role and placement per community.
 func TestStatusEndpoint(t *testing.T) {
 	cns := startCluster(t, 2)

@@ -56,16 +56,6 @@ type HandlerOpts struct {
 	Handoff func(community string, table Placement) (cutSeq uint64, pause time.Duration, err error)
 }
 
-// HandlerOptions is the pre-cluster options struct of NewHandlerOpts.
-//
-// Deprecated: use HandlerOpts with NewHandler.
-type HandlerOptions struct {
-	// MaxBinBatch caps the frames one /v1/bin request body may carry.
-	MaxBinBatch int
-	// Churn routes single-op churn through the coalescer.
-	Churn *Coalescer
-}
-
 // DefaultMaxBinBatch is the frames-per-request cap of the binary endpoints
 // when HandlerOpts does not override it.
 const DefaultMaxBinBatch = 1024
@@ -83,13 +73,8 @@ const forwardHeader = "X-Holiday-Forwarded"
 // not_owner and lets the placement gossip catch it up.
 const epochHeader = "X-Holiday-Epoch"
 
-// legacyDeprecation is the Deprecation header (RFC 9745) the unversioned
-// route aliases carry: the date the /v1 prefix replaced them.
-const legacyDeprecation = "@1786147200" // 2026-08-08T00:00:00Z
-
 // NewHandler exposes an owner — and, with a Router, its cluster — over
-// HTTP. JSON routes live under /v1/ (the unversioned originals remain as
-// deprecated aliases answering identically plus a Deprecation header):
+// HTTP. Every route except /healthz lives under /v1/:
 //
 //	POST   /v1/communities                          create {id, families, edges, code}
 //	GET    /v1/communities                          list ids
@@ -142,15 +127,6 @@ func NewHandler(h HandlerOpts) http.Handler {
 		h.Router.OnChange(func(Placement) { syncFences(h.Owner, h.Router) })
 	}
 	mux := http.NewServeMux()
-	// route registers fn at its /v1 path and at the legacy unversioned
-	// alias, which answers identically but advertises its deprecation.
-	route := func(method, path string, fn http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, fn)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", legacyDeprecation)
-			fn(w, r)
-		})
-	}
 	mux.HandleFunc("POST /v1/bin/window", a.binHandler(wire.KindWindowReq))
 	mux.HandleFunc("POST /v1/bin/next", a.binHandler(wire.KindNextReq))
 	mux.HandleFunc("POST /v1/bin/churn", a.churnBinHandler())
@@ -162,28 +138,21 @@ func NewHandler(h HandlerOpts) http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	route("POST", "/communities", a.serveCreate)
-	route("GET", "/communities", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/communities", a.serveCreate)
+	mux.HandleFunc("GET /v1/communities", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string][]string{"communities": a.Owner.List()})
 	})
-	route("GET", "/communities/{id}", a.read(func(w http.ResponseWriter, r *http.Request, c *Community) {
+	mux.HandleFunc("GET /v1/communities/{id}", a.read(func(w http.ResponseWriter, r *http.Request, c *Community) {
 		writeJSON(w, http.StatusOK, c.Stats())
 	}))
-	route("DELETE", "/communities/{id}", a.write(a.serveDelete))
-	route("POST", "/communities/{id}/families", a.write(a.withCommunity(a.serveAddFamily)))
-	route("POST", "/communities/{id}/edges", a.write(a.withCommunity(a.serveMarry)))
-	route("DELETE", "/communities/{id}/edges", a.write(a.withCommunity(a.serveDivorce)))
-	route("POST", "/communities/{id}/churn", a.write(a.withCommunity(a.serveChurn)))
-	route("GET", "/communities/{id}/window", a.read(a.serveWindow))
-	route("GET", "/communities/{id}/families/{v}/next", a.read(a.serveNext))
+	mux.HandleFunc("DELETE /v1/communities/{id}", a.write(a.serveDelete))
+	mux.HandleFunc("POST /v1/communities/{id}/families", a.write(a.withCommunity(a.serveAddFamily)))
+	mux.HandleFunc("POST /v1/communities/{id}/edges", a.write(a.withCommunity(a.serveMarry)))
+	mux.HandleFunc("DELETE /v1/communities/{id}/edges", a.write(a.withCommunity(a.serveDivorce)))
+	mux.HandleFunc("POST /v1/communities/{id}/churn", a.write(a.withCommunity(a.serveChurn)))
+	mux.HandleFunc("GET /v1/communities/{id}/window", a.read(a.serveWindow))
+	mux.HandleFunc("GET /v1/communities/{id}/families/{v}/next", a.read(a.serveNext))
 	return mux
-}
-
-// NewHandlerOpts is the pre-cluster constructor.
-//
-// Deprecated: use NewHandler(HandlerOpts{...}).
-func NewHandlerOpts(reg *Owner, opts HandlerOptions) http.Handler {
-	return NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: opts.MaxBinBatch, Churn: opts.Churn})
 }
 
 // apiHandler carries the handler configuration and the forwarding client.

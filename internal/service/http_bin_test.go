@@ -65,15 +65,15 @@ func splitOne(t *testing.T, body []byte) wire.Frame {
 // empty holidays, which must round-trip as "happy":[]).
 func TestBinaryWindowMatchesJSON(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
-	do("POST", "/communities", `{"id":"tri","families":3,"edges":[[0,1],[1,2],[0,2]]}`, http.StatusCreated, nil)
-	do("POST", "/communities", `{"id":"gam","families":6,"edges":[[0,1],[2,3]],"code":"gamma"}`, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", `{"id":"tri","families":3,"edges":[[0,1],[1,2],[0,2]]}`, http.StatusCreated, nil)
+	do("POST", "/v1/communities", `{"id":"gam","families":6,"edges":[[0,1],[2,3]],"code":"gamma"}`, http.StatusCreated, nil)
 
 	windows := [][2]int64{{1, 1}, {1, 52}, {2, 5}, {7, 7}, {37, 211}, {63, 66}, {97, 160}}
 	for _, id := range []string{"demo", "tri", "gam"} {
 		for _, w := range windows {
 			from, to := w[0], w[1]
-			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/communities/%s/window?from=%d&to=%d", id, from, to))
+			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/v1/communities/%s/window?from=%d&to=%d", id, from, to))
 			if jsonStatus != http.StatusOK {
 				t.Fatalf("%s [%d,%d]: JSON status %d", id, from, to, jsonStatus)
 			}
@@ -114,10 +114,10 @@ func TestBinaryWindowMatchesJSON(t *testing.T) {
 // query.
 func TestBinaryNextMatchesJSON(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
 	for v := 0; v < 9; v += 2 {
 		for _, from := range []int64{1, 7, 1000, 1 << 40} {
-			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/communities/demo/families/%d/next?from=%d", v, from))
+			jsonStatus, jsonBody := getRaw(t, srv, fmt.Sprintf("/v1/communities/demo/families/%d/next?from=%d", v, from))
 			if jsonStatus != http.StatusOK {
 				t.Fatalf("family %d from %d: JSON status %d", v, from, jsonStatus)
 			}
@@ -147,7 +147,7 @@ func TestBinaryNextMatchesJSON(t *testing.T) {
 // the rest of the batch.
 func TestBinaryBatch(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
 
 	req := wire.AppendWindowReq(nil, "demo", 1, 4)
 	req = wire.AppendWindowReq(req, "ghost", 1, 4) // unknown community
@@ -213,7 +213,7 @@ func TestBinaryBatch(t *testing.T) {
 // the equivalent request.
 func TestBinaryErrorStatusesMirrorJSON(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
 
 	cases := []struct {
 		name     string
@@ -221,21 +221,21 @@ func TestBinaryErrorStatusesMirrorJSON(t *testing.T) {
 		frame    []byte
 		endpoint string
 	}{
-		{"unknown community", "/communities/nope/window?from=1&to=2",
+		{"unknown community", "/v1/communities/nope/window?from=1&to=2",
 			wire.AppendWindowReq(nil, "nope", 1, 2), "/v1/bin/window"},
-		{"from below 1", "/communities/demo/window?from=0&to=5",
+		{"from below 1", "/v1/communities/demo/window?from=0&to=5",
 			wire.AppendWindowReq(nil, "demo", 0, 5), "/v1/bin/window"},
-		{"empty window", "/communities/demo/window?from=9&to=3",
+		{"empty window", "/v1/communities/demo/window?from=9&to=3",
 			wire.AppendWindowReq(nil, "demo", 9, 3), "/v1/bin/window"},
-		{"over max span", fmt.Sprintf("/communities/demo/window?from=1&to=%d", MaxWindow+2),
+		{"over max span", fmt.Sprintf("/v1/communities/demo/window?from=1&to=%d", MaxWindow+2),
 			wire.AppendWindowReq(nil, "demo", 1, int64(MaxWindow)+2), "/v1/bin/window"},
-		{"past horizon", fmt.Sprintf("/communities/demo/window?from=%d&to=%d", core.MaxHoliday+1, core.MaxHoliday+2),
+		{"past horizon", fmt.Sprintf("/v1/communities/demo/window?from=%d&to=%d", core.MaxHoliday+1, core.MaxHoliday+2),
 			wire.AppendWindowReq(nil, "demo", core.MaxHoliday+1, core.MaxHoliday+2), "/v1/bin/window"},
-		{"unknown family", "/communities/demo/families/99/next?from=1",
+		{"unknown family", "/v1/communities/demo/families/99/next?from=1",
 			wire.AppendNextReq(nil, "demo", 99, 1), "/v1/bin/next"},
-		{"next past horizon", fmt.Sprintf("/communities/demo/families/1/next?from=%d", core.MaxHoliday+1),
+		{"next past horizon", fmt.Sprintf("/v1/communities/demo/families/1/next?from=%d", core.MaxHoliday+1),
 			wire.AppendNextReq(nil, "demo", 1, core.MaxHoliday+1), "/v1/bin/next"},
-		{"next unknown community", "/communities/nope/families/1/next?from=1",
+		{"next unknown community", "/v1/communities/nope/families/1/next?from=1",
 			wire.AppendNextReq(nil, "nope", 1, 1), "/v1/bin/next"},
 	}
 	for _, tc := range cases {
@@ -261,11 +261,11 @@ func TestBinaryErrorStatusesMirrorJSON(t *testing.T) {
 // request with a JSON 400 — no per-frame correspondence exists to answer
 // in-band.
 func TestBinaryProtocolViolations(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 
 	winReq := wire.AppendWindowReq(nil, "demo", 1, 4)
@@ -314,13 +314,13 @@ func TestBinaryProtocolViolations(t *testing.T) {
 // protocols pin their method sets.
 func TestJSONWrongMethod(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
 	for _, tc := range [][2]string{
-		{"POST", "/communities/demo/window?from=1&to=2"},
-		{"DELETE", "/communities/demo/window"},
-		{"POST", "/communities/demo/families/1/next"},
-		{"GET", "/communities/demo/edges"},
-		{"PUT", "/communities"},
+		{"POST", "/v1/communities/demo/window?from=1&to=2"},
+		{"DELETE", "/v1/communities/demo/window"},
+		{"POST", "/v1/communities/demo/families/1/next"},
+		{"GET", "/v1/communities/demo/edges"},
+		{"PUT", "/v1/communities"},
 	} {
 		req, err := http.NewRequest(tc[0], srv.URL+tc[1], nil)
 		if err != nil {

@@ -31,8 +31,8 @@ func churnBody(ops [][3]any) string {
 // resulting schedules must agree.
 func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
-	do("POST", "/communities", strings.Replace(star9, `"demo"`, `"twin"`, 1), http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", strings.Replace(star9, `"demo"`, `"twin"`, 1), http.StatusCreated, nil)
 
 	ops := [][3]any{
 		{"marry", 1, 2}, {"marry", 3, 4}, {"divorce", 0, 5},
@@ -41,7 +41,7 @@ func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 		{"marry", 5, 6}, {"marry", 2, 7},
 	}
 	var batch churnResponse
-	do("POST", "/communities/demo/churn", churnBody(ops), http.StatusOK, &batch)
+	do("POST", "/v1/communities/demo/churn", churnBody(ops), http.StatusOK, &batch)
 	if len(batch.Results) != len(ops) || batch.Community != "demo" {
 		t.Fatalf("batch response = %+v", batch)
 	}
@@ -50,13 +50,13 @@ func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 	for i, op := range ops {
 		var single map[string]bool
 		if op[0] == "marry" {
-			do("POST", "/communities/twin/edges", fmt.Sprintf(`{"u":%d,"v":%d}`, op[1], op[2]), http.StatusOK, &single)
+			do("POST", "/v1/communities/twin/edges", fmt.Sprintf(`{"u":%d,"v":%d}`, op[1], op[2]), http.StatusOK, &single)
 			single["removed"] = single["recolored"] // marry "applied" isn't reported; recolored implies applied
 			if batch.Results[i].Recolored != single["recolored"] {
 				t.Fatalf("edit %d %v: batch recolored=%v, single=%v", i, op, batch.Results[i].Recolored, single["recolored"])
 			}
 		} else {
-			do("DELETE", fmt.Sprintf("/communities/twin/edges?u=%d&v=%d", op[1], op[2]), "", http.StatusOK, &single)
+			do("DELETE", fmt.Sprintf("/v1/communities/twin/edges?u=%d&v=%d", op[1], op[2]), "", http.StatusOK, &single)
 			if batch.Results[i].Applied != single["removed"] || batch.Results[i].Recolored != single["recolored"] {
 				t.Fatalf("edit %d %v: batch %+v, single %v", i, op, batch.Results[i], single)
 			}
@@ -74,8 +74,8 @@ func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 	}
 
 	// Both communities must now serve identical schedules.
-	s1, b1 := getRaw(t, srv, "/communities/demo/window?from=1&to=64")
-	s2, b2 := getRaw(t, srv, "/communities/twin/window?from=1&to=64")
+	s1, b1 := getRaw(t, srv, "/v1/communities/demo/window?from=1&to=64")
+	s2, b2 := getRaw(t, srv, "/v1/communities/twin/window?from=1&to=64")
 	if s1 != http.StatusOK || s2 != http.StatusOK {
 		t.Fatalf("window statuses %d, %d", s1, s2)
 	}
@@ -86,15 +86,15 @@ func TestHTTPChurnBatchMatchesSingles(t *testing.T) {
 
 // TestHTTPChurnValidation: the JSON batch endpoint's whole-request failures.
 func TestHTTPChurnValidation(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 	do := func(body string, wantStatus int) {
 		t.Helper()
-		resp, err := srv.Client().Post(srv.URL+"/communities/demo/churn", "application/json", strings.NewReader(body))
+		resp, err := srv.Client().Post(srv.URL+"/v1/communities/demo/churn", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,15 +123,15 @@ func TestHTTPChurnValidation(t *testing.T) {
 // serving identical schedules.
 func TestBinaryChurnMatchesJSON(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
-	do("POST", "/communities", strings.Replace(star9, `"demo"`, `"twin"`, 1), http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", strings.Replace(star9, `"demo"`, `"twin"`, 1), http.StatusCreated, nil)
 
 	ops := [][3]any{
 		{"marry", 1, 2}, {"marry", 3, 4}, {"divorce", 0, 1},
 		{"marry", 1, 2}, {"divorce", 5, 6}, {"marry", 2, 7},
 	}
 	var jsonResp churnResponse
-	do("POST", "/communities/twin/churn", churnBody(ops), http.StatusOK, &jsonResp)
+	do("POST", "/v1/communities/twin/churn", churnBody(ops), http.StatusOK, &jsonResp)
 
 	var frames []byte
 	for _, op := range ops {
@@ -164,8 +164,8 @@ func TestBinaryChurnMatchesJSON(t *testing.T) {
 		t.Fatalf("%d stray bytes after the last response frame", len(body))
 	}
 
-	s1, b1 := getRaw(t, srv, "/communities/demo/window?from=1&to=64")
-	s2, b2 := getRaw(t, srv, "/communities/twin/window?from=1&to=64")
+	s1, b1 := getRaw(t, srv, "/v1/communities/demo/window?from=1&to=64")
+	s2, b2 := getRaw(t, srv, "/v1/communities/twin/window?from=1&to=64")
 	if s1 != http.StatusOK || s2 != http.StatusOK {
 		t.Fatalf("window statuses %d, %d", s1, s2)
 	}
@@ -179,8 +179,8 @@ func TestBinaryChurnMatchesJSON(t *testing.T) {
 // frames with the JSON-equivalent status, and the valid edits still apply.
 func TestBinaryChurnGroupsAndErrors(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
-	do("POST", "/communities", `{"id":"tri","families":3,"edges":[[0,1]]}`, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", `{"id":"tri","families":3,"edges":[[0,1]]}`, http.StatusCreated, nil)
 
 	req := wire.AppendChurnReq(nil, wire.ChurnInsert, "demo", 1, 2)
 	req = wire.AppendChurnReq(req, wire.ChurnInsert, "tri", 1, 2)
@@ -222,11 +222,11 @@ func TestBinaryChurnGroupsAndErrors(t *testing.T) {
 	// The grouped flushes really applied: demo gained {1,2} and lost {0,3};
 	// tri gained {1,2} and lost its seed edge {0,1}.
 	var stats Stats
-	do("GET", "/communities/demo", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/demo", "", http.StatusOK, &stats)
 	if stats.Marriages != 8 { // 8 spokes + 1 marry - 1 divorce
 		t.Fatalf("demo has %d marriages, want 8", stats.Marriages)
 	}
-	do("GET", "/communities/tri", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/tri", "", http.StatusOK, &stats)
 	if stats.Marriages != 1 {
 		t.Fatalf("tri has %d marriages, want 1", stats.Marriages)
 	}
@@ -235,11 +235,11 @@ func TestBinaryChurnGroupsAndErrors(t *testing.T) {
 // TestBinaryChurnProtocolViolations: framing problems fail the whole request,
 // like the other binary endpoints.
 func TestBinaryChurnProtocolViolations(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 4, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{MaxBinBatch: 2}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, MaxBinBatch: 2}))
 	defer srv.Close()
 
 	good := wire.AppendChurnReq(nil, wire.ChurnInsert, "demo", 0, 1)
@@ -268,18 +268,18 @@ func TestBinaryChurnProtocolViolations(t *testing.T) {
 	}
 }
 
-// TestCoalescedSingleOpEndpoints: with HandlerOptions.Churn set, the
+// TestCoalescedSingleOpEndpoints: with HandlerOpts.Churn set, the
 // single-op marry/divorce endpoints route through the coalescer and answer
 // exactly what the direct path answers — including validation failures,
 // which fail fast without joining a batch.
 func TestCoalescedSingleOpEndpoints(t *testing.T) {
-	reg := NewRegistry()
+	reg := New(Opts{})
 	if _, err := reg.Create("demo", 9, [][2]int{{0, 1}}, ""); err != nil {
 		t.Fatal(err)
 	}
 	co := NewCoalescer(4, 0)
 	defer co.Close()
-	srv := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{Churn: co}))
+	srv := httptest.NewServer(NewHandler(HandlerOpts{Owner: reg, Churn: co}))
 	defer srv.Close()
 
 	post := func(path, body string, wantStatus int, out any) {
@@ -299,11 +299,11 @@ func TestCoalescedSingleOpEndpoints(t *testing.T) {
 		}
 	}
 	var marry map[string]bool
-	post("/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry)
-	post("/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry) // no-op re-marry
-	post("/communities/demo/edges", `{"u":1,"v":99}`, http.StatusBadRequest, nil)
+	post("/v1/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry)
+	post("/v1/communities/demo/edges", `{"u":1,"v":2}`, http.StatusOK, &marry) // no-op re-marry
+	post("/v1/communities/demo/edges", `{"u":1,"v":99}`, http.StatusBadRequest, nil)
 
-	req, err := http.NewRequest("DELETE", srv.URL+"/communities/demo/edges?u=1&v=2", nil)
+	req, err := http.NewRequest("DELETE", srv.URL+"/v1/communities/demo/edges?u=1&v=2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestHTTPPolyLifecycle(t *testing.T) {
 	_, do := newTestServer(t)
 
 	var created Stats
-	do("POST", "/communities", polyRing6, http.StatusCreated, &created)
+	do("POST", "/v1/communities", polyRing6, http.StatusCreated, &created)
 	if created.Kind != KindPoly || created.Families != 6 || created.Marriages != 6 {
 		t.Fatalf("created = %+v", created)
 	}
@@ -45,7 +45,7 @@ func TestHTTPPolyLifecycle(t *testing.T) {
 	// The schedule's entities are edge slots: every served happy set must
 	// stay within [0, edges), and each slot must fire within its demand.
 	var win windowResponse
-	do("GET", "/communities/ring/window?from=1&to=64", "", http.StatusOK, &win)
+	do("GET", "/v1/communities/ring/window?from=1&to=64", "", http.StatusOK, &win)
 	if len(win.Holidays) != 64 {
 		t.Fatalf("window rows = %d", len(win.Holidays))
 	}
@@ -76,13 +76,13 @@ func TestHTTPPolyLifecycle(t *testing.T) {
 	}
 
 	var next nextResponse
-	do("GET", "/communities/ring/families/2/next?from=10", "", http.StatusOK, &next)
+	do("GET", "/v1/communities/ring/families/2/next?from=10", "", http.StatusOK, &next)
 	if next.Next < 10 || next.Next > 10+32 {
 		t.Fatalf("slot 2 (demand 16) next from 10 = %d", next.Next)
 	}
 	// Consistency with the window at that holiday.
 	var at windowResponse
-	do("GET", fmt.Sprintf("/communities/ring/window?from=%d&to=%d", next.Next, next.Next), "", http.StatusOK, &at)
+	do("GET", fmt.Sprintf("/v1/communities/ring/window?from=%d&to=%d", next.Next, next.Next), "", http.StatusOK, &at)
 	found := false
 	for _, v := range at.Holidays[0].Happy {
 		if v == 2 {
@@ -97,16 +97,16 @@ func TestHTTPPolyLifecycle(t *testing.T) {
 	// divorce. For poly every applied edit invalidates the cache (the edge
 	// slots themselves change), reflected in version ticks.
 	var marry map[string]bool
-	do("POST", "/communities/ring/edges", `{"u":0,"v":3,"demand":8}`, http.StatusOK, &marry)
-	do("POST", "/communities/ring/edges", `{"u":1,"v":4}`, http.StatusOK, &marry)
+	do("POST", "/v1/communities/ring/edges", `{"u":0,"v":3,"demand":8}`, http.StatusOK, &marry)
+	do("POST", "/v1/communities/ring/edges", `{"u":1,"v":4}`, http.StatusOK, &marry)
 	var div map[string]bool
-	do("DELETE", "/communities/ring/edges?u=5&v=0", "", http.StatusOK, &div)
+	do("DELETE", "/v1/communities/ring/edges?u=5&v=0", "", http.StatusOK, &div)
 	if !div["removed"] {
 		t.Fatal("divorce of a live poly edge reported removed=false")
 	}
 
 	var stats Stats
-	do("GET", "/communities/ring", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/ring", "", http.StatusOK, &stats)
 	if stats.Marriages != 7 || stats.Poly == nil || stats.Poly.Edges != 7 {
 		t.Fatalf("post-churn stats = %+v (poly %+v)", stats, stats.Poly)
 	}
@@ -141,7 +141,7 @@ func TestHTTPCreateKindErrors(t *testing.T) {
 
 	check := func(body, wantFrag string) {
 		t.Helper()
-		resp, err := srv.Client().Post(srv.URL+"/communities", "application/json", strings.NewReader(body))
+		resp, err := srv.Client().Post(srv.URL+"/v1/communities", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestHTTPCreateKindErrors(t *testing.T) {
 	// Unknown poly scheduler code.
 	check(`{"id":"x","families":4,"kind":"poly","code":"morse"}`, "morse")
 
-	do("GET", "/communities/x", "", http.StatusNotFound, nil)
+	do("GET", "/v1/communities/x", "", http.StatusNotFound, nil)
 }
 
 // TestHTTPPolyChurnErrors: the JSON batch endpoint's failure modes on a
@@ -176,11 +176,11 @@ func TestHTTPCreateKindErrors(t *testing.T) {
 // set, per-edit demands ride the accepted ones.
 func TestHTTPPolyChurnErrors(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", polyRing6, http.StatusCreated, nil)
+	do("POST", "/v1/communities", polyRing6, http.StatusCreated, nil)
 
 	post := func(body string, wantStatus int, out any) {
 		t.Helper()
-		resp, err := srv.Client().Post(srv.URL+"/communities/ring/churn", "application/json", strings.NewReader(body))
+		resp, err := srv.Client().Post(srv.URL+"/v1/communities/ring/churn", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestHTTPPolyChurnErrors(t *testing.T) {
 	post(`[{"op":"elope","u":0,"v":2}]`, http.StatusBadRequest, nil)
 	post(`[{"op":"marry","u":0,"v":2},{"op":"marry","u":0,"v":99}]`, http.StatusBadRequest, nil)
 	var stats Stats
-	do("GET", "/communities/ring", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/ring", "", http.StatusOK, &stats)
 	if stats.Poly == nil || stats.Poly.Edges != 6 {
 		t.Fatalf("rejected poly batch changed the edge set: %+v", stats.Poly)
 	}
@@ -212,7 +212,7 @@ func TestHTTPPolyChurnErrors(t *testing.T) {
 	if ok.Applied != 2 {
 		t.Fatalf("batch applied = %d, want 2", ok.Applied)
 	}
-	do("GET", "/communities/ring", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/ring", "", http.StatusOK, &stats)
 	if stats.Poly.Edges != 6 || stats.Poly.MaxGapRatio > 1 {
 		t.Fatalf("post-batch poly stats = %+v", stats.Poly)
 	}
@@ -225,8 +225,8 @@ func TestHTTPPolyChurnErrors(t *testing.T) {
 // leave both twins serving byte-identical windows.
 func TestBinaryChurnOnPoly(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", polyRing6, http.StatusCreated, nil)
-	do("POST", "/communities", strings.Replace(polyRing6, `"ring"`, `"twin"`, 1), http.StatusCreated, nil)
+	do("POST", "/v1/communities", polyRing6, http.StatusCreated, nil)
+	do("POST", "/v1/communities", strings.Replace(polyRing6, `"ring"`, `"twin"`, 1), http.StatusCreated, nil)
 
 	ops := [][3]any{
 		{"marry", 0, 2}, {"divorce", 1, 2}, {"marry", 1, 3},
@@ -234,7 +234,7 @@ func TestBinaryChurnOnPoly(t *testing.T) {
 		{"divorce", 4, 5},
 	}
 	var jsonResp churnResponse
-	do("POST", "/communities/twin/churn", churnBody(ops), http.StatusOK, &jsonResp)
+	do("POST", "/v1/communities/twin/churn", churnBody(ops), http.StatusOK, &jsonResp)
 
 	var frames []byte
 	for _, op := range ops {
@@ -273,8 +273,8 @@ func TestBinaryChurnOnPoly(t *testing.T) {
 		t.Fatalf("out-of-range edit answered %d (%v), want an in-position 400 frame", estatus, err)
 	}
 
-	s1, b1 := getRaw(t, srv, "/communities/ring/window?from=1&to=64")
-	s2, b2 := getRaw(t, srv, "/communities/twin/window?from=1&to=64")
+	s1, b1 := getRaw(t, srv, "/v1/communities/ring/window?from=1&to=64")
+	s2, b2 := getRaw(t, srv, "/v1/communities/twin/window?from=1&to=64")
 	if s1 != http.StatusOK || s2 != http.StatusOK {
 		t.Fatalf("window statuses %d, %d", s1, s2)
 	}

@@ -49,22 +49,22 @@ func TestHTTPLifecycleAndWindow(t *testing.T) {
 	_, do := newTestServer(t)
 
 	var created Stats
-	do("POST", "/communities", star9, http.StatusCreated, &created)
+	do("POST", "/v1/communities", star9, http.StatusCreated, &created)
 	if created.ID != "demo" || created.Families != 9 || created.Marriages != 8 {
 		t.Fatalf("created = %+v", created)
 	}
-	do("POST", "/communities", star9, http.StatusBadRequest, nil) // duplicate
+	do("POST", "/v1/communities", star9, http.StatusBadRequest, nil) // duplicate
 
 	var listed struct {
 		Communities []string `json:"communities"`
 	}
-	do("GET", "/communities", "", http.StatusOK, &listed)
+	do("GET", "/v1/communities", "", http.StatusOK, &listed)
 	if len(listed.Communities) != 1 || listed.Communities[0] != "demo" {
 		t.Fatalf("list = %v", listed.Communities)
 	}
 
 	var win windowResponse
-	do("GET", "/communities/demo/window?from=1&to=52", "", http.StatusOK, &win)
+	do("GET", "/v1/communities/demo/window?from=1&to=52", "", http.StatusOK, &win)
 	if win.From != 1 || win.To != 52 || len(win.Holidays) != 52 {
 		t.Fatalf("window = %+v", win)
 	}
@@ -86,13 +86,13 @@ func TestHTTPLifecycleAndWindow(t *testing.T) {
 	}
 
 	var next nextResponse
-	do("GET", "/communities/demo/families/3/next?from=10", "", http.StatusOK, &next)
+	do("GET", "/v1/communities/demo/families/3/next?from=10", "", http.StatusOK, &next)
 	if next.Next < 10 {
 		t.Fatalf("next = %+v", next)
 	}
 	// The answer must be consistent with the window at that holiday.
 	var at windowResponse
-	do("GET", fmt.Sprintf("/communities/demo/window?from=%d&to=%d", next.Next, next.Next), "", http.StatusOK, &at)
+	do("GET", fmt.Sprintf("/v1/communities/demo/window?from=%d&to=%d", next.Next, next.Next), "", http.StatusOK, &at)
 	found := false
 	for _, v := range at.Holidays[0].Happy {
 		if v == 3 {
@@ -104,23 +104,23 @@ func TestHTTPLifecycleAndWindow(t *testing.T) {
 	}
 
 	var stats Stats
-	do("GET", "/communities/demo", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/demo", "", http.StatusOK, &stats)
 	if stats.CacheMisses != 1 || stats.CacheHits < 2 {
 		t.Fatalf("stats after cached queries = %+v", stats)
 	}
 
-	do("DELETE", "/communities/demo", "", http.StatusOK, nil)
-	do("GET", "/communities/demo", "", http.StatusNotFound, nil)
+	do("DELETE", "/v1/communities/demo", "", http.StatusOK, nil)
+	do("GET", "/v1/communities/demo", "", http.StatusNotFound, nil)
 }
 
 func TestHTTPChurn(t *testing.T) {
 	_, do := newTestServer(t)
-	do("POST", "/communities", `{"id":"c","families":4,"edges":[[0,1],[1,2]]}`, http.StatusCreated, nil)
+	do("POST", "/v1/communities", `{"id":"c","families":4,"edges":[[0,1],[1,2]]}`, http.StatusCreated, nil)
 
 	var marry struct {
 		Recolored bool `json:"recolored"`
 	}
-	do("POST", "/communities/c/edges", `{"u":2,"v":3}`, http.StatusOK, &marry)
+	do("POST", "/v1/communities/c/edges", `{"u":2,"v":3}`, http.StatusOK, &marry)
 	if !marry.Recolored {
 		t.Fatal("marrying same-colored families should recolor")
 	}
@@ -128,14 +128,14 @@ func TestHTTPChurn(t *testing.T) {
 		Removed   bool `json:"removed"`
 		Recolored bool `json:"recolored"`
 	}
-	do("DELETE", "/communities/c/edges?u=2&v=3", "", http.StatusOK, &divorce)
+	do("DELETE", "/v1/communities/c/edges?u=2&v=3", "", http.StatusOK, &divorce)
 	if !divorce.Removed {
 		t.Fatal("edge should have been removed")
 	}
 	var fam struct {
 		Family int `json:"family"`
 	}
-	do("POST", "/communities/c/families", "", http.StatusCreated, &fam)
+	do("POST", "/v1/communities/c/families", "", http.StatusCreated, &fam)
 	if fam.Family != 4 {
 		t.Fatalf("new family id = %d, want 4", fam.Family)
 	}
@@ -143,23 +143,23 @@ func TestHTTPChurn(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	_, do := newTestServer(t)
-	do("POST", "/communities", `{"id":"c","families":4}`, http.StatusCreated, nil)
+	do("POST", "/v1/communities", `{"id":"c","families":4}`, http.StatusCreated, nil)
 
-	do("GET", "/communities/nope/window", "", http.StatusNotFound, nil)
-	do("GET", "/communities/c/window?from=0&to=5", "", http.StatusBadRequest, nil)
-	do("GET", "/communities/c/window?from=9&to=3", "", http.StatusBadRequest, nil)
-	do("GET", fmt.Sprintf("/communities/c/window?from=1&to=%d", MaxWindow+2), "", http.StatusBadRequest, nil)
+	do("GET", "/v1/communities/nope/window", "", http.StatusNotFound, nil)
+	do("GET", "/v1/communities/c/window?from=0&to=5", "", http.StatusBadRequest, nil)
+	do("GET", "/v1/communities/c/window?from=9&to=3", "", http.StatusBadRequest, nil)
+	do("GET", fmt.Sprintf("/v1/communities/c/window?from=1&to=%d", MaxWindow+2), "", http.StatusBadRequest, nil)
 	// Near-MaxInt64 bounds pass the span check but must be rejected before
 	// the closed-form arithmetic can wrap.
-	do("GET", "/communities/c/window?from=9223372036854775800&to=9223372036854775807", "", http.StatusBadRequest, nil)
-	do("GET", "/communities/c/window?from=x&to=5", "", http.StatusBadRequest, nil)
-	do("GET", "/communities/c/families/99/next", "", http.StatusNotFound, nil)
-	do("GET", "/communities/c/families/x/next", "", http.StatusBadRequest, nil)
-	do("POST", "/communities/c/edges", `{"u":0,"v":0}`, http.StatusBadRequest, nil)
-	do("POST", "/communities/c/edges", `not json`, http.StatusBadRequest, nil)
-	do("DELETE", "/communities/c/edges?u=a&v=1", "", http.StatusBadRequest, nil)
-	do("POST", "/communities", `{"id":"bad","families":3,"code":"morse"}`, http.StatusBadRequest, nil)
-	do("DELETE", "/communities/nope", "", http.StatusNotFound, nil)
+	do("GET", "/v1/communities/c/window?from=9223372036854775800&to=9223372036854775807", "", http.StatusBadRequest, nil)
+	do("GET", "/v1/communities/c/window?from=x&to=5", "", http.StatusBadRequest, nil)
+	do("GET", "/v1/communities/c/families/99/next", "", http.StatusNotFound, nil)
+	do("GET", "/v1/communities/c/families/x/next", "", http.StatusBadRequest, nil)
+	do("POST", "/v1/communities/c/edges", `{"u":0,"v":0}`, http.StatusBadRequest, nil)
+	do("POST", "/v1/communities/c/edges", `not json`, http.StatusBadRequest, nil)
+	do("DELETE", "/v1/communities/c/edges?u=a&v=1", "", http.StatusBadRequest, nil)
+	do("POST", "/v1/communities", `{"id":"bad","families":3,"code":"morse"}`, http.StatusBadRequest, nil)
+	do("DELETE", "/v1/communities/nope", "", http.StatusNotFound, nil)
 	do("GET", "/healthz", "", http.StatusOK, nil)
 }
 
@@ -167,7 +167,7 @@ func TestHTTPErrors(t *testing.T) {
 // cached schedule — with -race this pins the serving path race-clean.
 func TestHTTPConcurrentWindows(t *testing.T) {
 	srv, do := newTestServer(t)
-	do("POST", "/communities", star9, http.StatusCreated, nil)
+	do("POST", "/v1/communities", star9, http.StatusCreated, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -175,7 +175,7 @@ func TestHTTPConcurrentWindows(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				from := 1 + (i*13+w)%300
-				resp, err := srv.Client().Get(fmt.Sprintf("%s/communities/demo/window?from=%d&to=%d", srv.URL, from, from+20))
+				resp, err := srv.Client().Get(fmt.Sprintf("%s/v1/communities/demo/window?from=%d&to=%d", srv.URL, from, from+20))
 				if err != nil {
 					t.Error(err)
 					return
@@ -192,7 +192,7 @@ func TestHTTPConcurrentWindows(t *testing.T) {
 	}
 	wg.Wait()
 	var stats Stats
-	do("GET", "/communities/demo", "", http.StatusOK, &stats)
+	do("GET", "/v1/communities/demo", "", http.StatusOK, &stats)
 	if stats.CacheMisses != 1 {
 		t.Fatalf("concurrent cached queries froze %d schedules, want 1", stats.CacheMisses)
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/poly"
-	"repro/internal/prefixcode"
 )
 
 // Op names one kind of state-changing operation in a journal record. The
@@ -55,7 +53,7 @@ type Record struct {
 }
 
 // Journal is the durability hook of the registry. When attached (see
-// Registry.SetJournal), every mutation is logged — and must be accepted by
+// Owner.SetJournal), every mutation is logged — and must be accepted by
 // the journal — before it is applied and acknowledged, write-ahead style.
 // Log returns a sequence number that totally orders records; the registry
 // remembers, per community, the sequence of the last record applied to it,
@@ -81,11 +79,10 @@ type BatchJournal interface {
 // SetJournal attaches (or, with nil, detaches) the owner's journal.
 // Attach before accepting traffic: ops applied while no journal is attached
 // are not logged and will not survive a restart. Restore and Apply never
-// log — recovery replays through them without re-journaling.
-//
-// Deprecated: pass Opts.Journal to New instead; SetJournal remains for the
-// one legitimate late-attach site (recovery replays a WAL into a bare
-// owner, then attaches the same WAL for new writes).
+// log — recovery replays through them without re-journaling. Opts.Journal
+// covers owners that journal from birth; SetJournal is for late attach
+// (persist.Store.Load replays a WAL into a bare owner and then attaches the
+// same WAL, and a cluster node wraps it in a replication source).
 func (r *Owner) SetJournal(j Journal) {
 	r.journal.Store(&journalBox{j: j})
 }
@@ -142,9 +139,11 @@ func (c *Community) Export() CommunityState {
 }
 
 // Restore registers a community reconstructed from exported state, adopting
-// its exact coloring, version, and journal sequence. Nothing is logged:
-// restore is the recovery path, not a new mutation. Errors on duplicate
-// ids, unknown codes, and colorings that are not proper for the edge set.
+// its exact coloring (or poly instance), version, and journal sequence.
+// Nothing is logged: restore is the recovery path, not a new mutation.
+// Errors on duplicate ids, unknown kinds and codes, and states that fail
+// their kind's validation (colorings that are not proper for the edge set,
+// poly slots that are not matchings).
 func (r *Owner) Restore(st CommunityState) (*Community, error) {
 	if st.ID == "" {
 		return nil, fmt.Errorf("service: restore: empty community id")
@@ -152,64 +151,41 @@ func (r *Owner) Restore(st CommunityState) (*Community, error) {
 	if st.Families < 1 {
 		return nil, fmt.Errorf("service: restore %q: %d families", st.ID, st.Families)
 	}
+	fail := func(err error) (*Community, error) {
+		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
+	}
+	var be backend
 	switch st.Kind {
 	case "", KindClassic:
+		code, err := codeByName(st.Code)
+		if err != nil {
+			return fail(err)
+		}
+		g, err := edgeGraph(st.Families, st.Edges)
+		if err != nil {
+			return fail(err)
+		}
+		dyn, err := core.RestoreDynamicColorBound(g, code, st.Coloring, st.Recolorings)
+		if err != nil {
+			return fail(err)
+		}
+		be = &classicBackend{dyn: dyn}
 	case KindPoly:
-		return r.restorePoly(st)
+		if st.Poly == nil {
+			return fail(fmt.Errorf("poly kind with no poly state"))
+		}
+		if st.Poly.N != st.Families {
+			return fail(fmt.Errorf("%d families but poly state has %d nodes", st.Families, st.Poly.N))
+		}
+		dyn, err := poly.Restore(*st.Poly)
+		if err != nil {
+			return fail(err)
+		}
+		be = &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(st.DefaultDemand)}
 	default:
-		return nil, fmt.Errorf("service: restore %q: unknown kind %q", st.ID, st.Kind)
+		return fail(fmt.Errorf("unknown kind %q", st.Kind))
 	}
-	codeName := st.Code
-	if codeName == "" {
-		codeName = "omega"
-	}
-	code, err := prefixcode.ByName(codeName)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	b := graph.NewBuilder(st.Families)
-	for _, e := range st.Edges {
-		if err := validEdge(st.Families, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-		}
-		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-		}
-	}
-	dyn, err := core.RestoreDynamicColorBound(b.Graph(), code, st.Coloring, st.Recolorings)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	return r.register(&Community{id: st.ID, reg: r, be: &classicBackend{dyn: dyn}, version: st.Version, seq: st.Seq})
-}
-
-// restorePoly reconstructs a poly-kind community from its exact exported
-// instance state. poly.Restore validates every structural invariant (slot
-// references, layer classes, matching-ness) before the community exists.
-func (r *Owner) restorePoly(st CommunityState) (*Community, error) {
-	if st.Poly == nil {
-		return nil, fmt.Errorf("service: restore %q: poly kind with no poly state", st.ID)
-	}
-	if st.Poly.N != st.Families {
-		return nil, fmt.Errorf("service: restore %q: %d families but poly state has %d nodes", st.ID, st.Families, st.Poly.N)
-	}
-	dyn, err := poly.Restore(*st.Poly)
-	if err != nil {
-		return nil, fmt.Errorf("service: restore %q: %w", st.ID, err)
-	}
-	be := &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(st.DefaultDemand)}
-	return r.register(&Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq})
-}
-
-// register inserts a restored community, rejecting duplicates.
-func (r *Owner) register(c *Community) (*Community, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[c.id]; dup {
-		return nil, fmt.Errorf("service: restore %q: community already exists", c.id)
-	}
-	r.communities[c.id] = c
-	return c, nil
+	return r.register(&Community{id: st.ID, reg: r, be: be, version: st.Version, seq: st.Seq}, nil)
 }
 
 // Apply replays one journal record at its sequence number without
@@ -224,20 +200,23 @@ func (r *Owner) register(c *Community) (*Community, error) {
 func (r *Owner) Apply(seq uint64, rec Record) error {
 	switch rec.Op {
 	case OpCreate:
-		r.mu.RLock()
-		c, exists := r.communities[rec.ID]
-		r.mu.RUnlock()
-		if exists {
+		if c, exists := r.Get(rec.ID); exists {
 			if seq <= c.journalSeq() {
 				return nil // already in the snapshot
 			}
 			return fmt.Errorf("service: replay create %q at seq %d: community already exists at seq %d", rec.ID, seq, c.journalSeq())
 		}
-		c, err := r.createUnlogged(rec)
+		c, _, err := r.build(CreateSpec{
+			ID: rec.ID, Families: rec.N, Edges: rec.Edges, Code: rec.Code,
+			Kind: rec.Kind, Demands: rec.Demands, DefaultDemand: rec.DefaultDemand,
+		}, nil)
+		if err == nil {
+			c.seq = seq
+			_, err = r.register(c, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("service: replay seq %d: %w", seq, err)
 		}
-		c.setJournalSeq(seq)
 		return nil
 	case OpDelete:
 		r.mu.Lock()
@@ -256,27 +235,21 @@ func (r *Owner) Apply(seq uint64, rec Record) error {
 		if seq <= c.seq {
 			return nil
 		}
-		switch rec.Op {
-		case OpAddFamily:
+		if rec.Op == OpAddFamily {
 			c.be.AddNode()
 			c.invalidateLocked()
-		case OpMarry:
-			if err := validEdge(c.be.N(), rec.U, rec.V); err != nil {
-				return fmt.Errorf("service: replay marry in %q at seq %d: %w", rec.ID, seq, err)
+		} else {
+			op := core.EditInsert
+			if rec.Op == OpDivorce {
+				op = core.EditDelete
 			}
-			res, err := c.be.AddEdge(rec.U, rec.V, rec.Demand)
+			c.one[0] = core.Edit{Op: op, U: rec.U, V: rec.V, Demand: rec.Demand}
+			err := c.validLocked(c.one[:])
+			if err == nil {
+				_, err = c.applyLocked(c.one[:], c.oneRes[:])
+			}
 			if err != nil {
-				return fmt.Errorf("service: replay marry in %q at seq %d: %w", rec.ID, seq, err)
-			}
-			if c.be.Invalidates(res) {
-				c.invalidateLocked()
-			}
-		case OpDivorce:
-			if err := validEdge(c.be.N(), rec.U, rec.V); err != nil {
-				return fmt.Errorf("service: replay divorce in %q at seq %d: %w", rec.ID, seq, err)
-			}
-			if res := c.be.RemoveEdge(rec.U, rec.V); c.be.Invalidates(res) {
-				c.invalidateLocked()
+				return fmt.Errorf("service: replay %s in %q at seq %d: %w", rec.Op, rec.ID, seq, err)
 			}
 		}
 		c.seq = seq
@@ -291,11 +264,4 @@ func (c *Community) journalSeq() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.seq
-}
-
-// setJournalSeq stamps a freshly replayed create.
-func (c *Community) setJournalSeq(seq uint64) {
-	c.mu.Lock()
-	c.seq = seq
-	c.mu.Unlock()
 }

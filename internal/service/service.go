@@ -50,10 +50,9 @@ type Owner struct {
 	journal atomic.Pointer[journalBox]
 }
 
-// Registry is the pre-cluster name of Owner.
-//
-// Deprecated: use Owner; the routing/ownership split gave the type its
-// real name. The alias keeps existing callers compiling.
+// Registry is the pre-cluster name of Owner. It stays only because the
+// repo benchmark (holidaybench/main.go, a nested module that changes only
+// with the benchmark itself) names it; everything else says Owner.
 type Registry = Owner
 
 // Opts configures New. The zero value is a valid standalone configuration.
@@ -65,8 +64,7 @@ type Opts struct {
 	Journal Journal
 }
 
-// New returns an empty owner configured by opts — the constructor that
-// replaced the setter-accreted NewRegistry+SetJournal pair.
+// New returns an empty owner configured by opts.
 func New(opts Opts) *Owner {
 	o := &Owner{communities: make(map[string]*Community)}
 	if opts.Journal != nil {
@@ -75,29 +73,12 @@ func New(opts Opts) *Owner {
 	return o
 }
 
-// NewRegistry returns an empty registry.
-//
-// Deprecated: use New(Opts{}).
-func NewRegistry() *Owner { return New(Opts{}) }
-
-// Create registers a new community of n families with the given initial
-// marriages, scheduled by the dynamic color-bound scheduler over the named
-// prefix code ("" means omega, the paper's choice). Errors on duplicate
+// Create registers a new classic community of n families with the given
+// initial marriages, scheduled by the dynamic color-bound scheduler over the
+// named prefix code ("" means omega, the paper's choice). Errors on duplicate
 // ids, unknown codes, and invalid edges.
 func (r *Owner) Create(id string, n int, edges [][2]int, codeName string) (*Community, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
-	}
-	b := graph.NewBuilder(n)
-	for _, e := range edges {
-		if err := validEdge(n, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
-		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
-		}
-	}
-	return r.CreateFromGraph(id, b.Graph(), codeName)
+	return r.CreateSpec(CreateSpec{ID: id, Families: n, Edges: edges, Code: codeName})
 }
 
 // CreateSpec is the kind-dispatching create request: everything POST
@@ -120,171 +101,161 @@ type CreateSpec struct {
 	DefaultDemand int64
 }
 
-// CreateSpec registers a new community of the requested kind. Unknown kinds
-// are rejected with the bad_request envelope — the error a client can
-// branch on across both transports.
+// CreateSpec registers a new community of the requested kind. With a
+// journal attached, the creation is logged before the community becomes
+// visible; a journal failure registers nothing. Unknown kinds are rejected
+// with the bad_request envelope — the error a client can branch on across
+// both transports.
 func (r *Owner) CreateSpec(spec CreateSpec) (*Community, error) {
+	c, rec, err := r.build(spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.register(c, &rec)
+}
+
+// CreateFromGraph registers a new classic community over an existing
+// conflict graph, avoiding the edge-list round trip of Create. The graph is
+// not retained; the community evolves its own dynamic copy.
+func (r *Owner) CreateFromGraph(id string, g *graph.Graph, codeName string) (*Community, error) {
+	c, rec, err := r.build(CreateSpec{ID: id, Families: g.N(), Code: codeName}, g)
+	if err != nil {
+		return nil, err
+	}
+	return r.register(c, &rec)
+}
+
+// build constructs the community spec describes, unregistered, and the
+// create record that journals it: the resolved code and, for poly, the
+// resolved demands, so replay reconstructs it byte-identically. g, when
+// non-nil, is the classic conflict graph already built from spec.
+func (r *Owner) build(spec CreateSpec, g *graph.Graph) (*Community, Record, error) {
+	if spec.ID == "" {
+		return nil, Record{}, fmt.Errorf("service: empty community id")
+	}
+	if spec.Families < 1 {
+		return nil, Record{}, fmt.Errorf("service: community %q needs at least one family, got %d", spec.ID, spec.Families)
+	}
+	fail := func(err error) (*Community, Record, error) {
+		return nil, Record{}, fmt.Errorf("service: community %q: %w", spec.ID, err)
+	}
+	rec := Record{Op: OpCreate, ID: spec.ID, N: spec.Families}
+	var be backend
 	switch spec.Kind {
 	case "", KindClassic:
 		if len(spec.Demands) > 0 {
-			return nil, Errf(CodeBadRequest, "community %q: classic communities take no edge demands", spec.ID)
+			return nil, Record{}, Errf(CodeBadRequest, "community %q: classic communities take no edge demands", spec.ID)
 		}
 		if spec.DefaultDemand != 0 {
-			return nil, Errf(CodeBadRequest, "community %q: classic communities take no default demand", spec.ID)
+			return nil, Record{}, Errf(CodeBadRequest, "community %q: classic communities take no default demand", spec.ID)
 		}
-		return r.Create(spec.ID, spec.Families, spec.Edges, spec.Code)
+		var err error
+		if g == nil {
+			if g, err = edgeGraph(spec.Families, spec.Edges); err != nil {
+				return fail(err)
+			}
+		}
+		code, err := codeByName(spec.Code)
+		if err != nil {
+			return fail(err)
+		}
+		dyn, err := core.NewDynamicColorBound(g, code)
+		if err != nil {
+			return fail(err)
+		}
+		be = &classicBackend{dyn: dyn}
+		rec.Edges, rec.Code = edgeList(g), code.Name()
 	case KindPoly:
-		return r.createPoly(spec, true)
+		if len(spec.Demands) != 0 && len(spec.Demands) != len(spec.Edges) {
+			return nil, Record{}, Errf(CodeBadRequest, "community %q: %d demands for %d edges",
+				spec.ID, len(spec.Demands), len(spec.Edges))
+		}
+		dyn, err := poly.New(spec.Families, spec.Code)
+		if err != nil {
+			return fail(err)
+		}
+		pb := &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(spec.DefaultDemand)}
+		demands := make([]int64, len(spec.Edges))
+		for i, e := range spec.Edges {
+			if err := validEdge(spec.Families, e[0], e[1]); err != nil {
+				return fail(err)
+			}
+			if dyn.HasEdge(e[0], e[1]) {
+				return fail(fmt.Errorf("duplicate edge (%d,%d)", e[0], e[1]))
+			}
+			var d int64
+			if i < len(spec.Demands) {
+				d = spec.Demands[i]
+			}
+			demands[i] = pb.demand(d)
+			dyn.AddEdge(e[0], e[1], demands[i])
+		}
+		be = pb
+		rec.Edges, rec.Code, rec.Kind, rec.Demands, rec.DefaultDemand = spec.Edges, dyn.Code(), KindPoly, demands, pb.defaultDemand
 	default:
-		return nil, Errf(CodeBadRequest, "community %q: unknown kind %q (want %q or %q)",
+		return nil, Record{}, Errf(CodeBadRequest, "community %q: unknown kind %q (want %q or %q)",
 			spec.ID, spec.Kind, KindClassic, KindPoly)
 	}
+	return &Community{id: spec.ID, reg: r, be: be}, rec, nil
 }
 
-// createPoly builds and registers a poly community, journaling the create
-// (with its resolved code, default demand, and per-edge demands, so replay
-// reconstructs it byte-identically) unless logged is false.
-func (r *Owner) createPoly(spec CreateSpec, logged bool) (*Community, error) {
-	if spec.ID == "" {
-		return nil, fmt.Errorf("service: empty community id")
-	}
-	if spec.Families < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", spec.ID, spec.Families)
-	}
-	if len(spec.Demands) != 0 && len(spec.Demands) != len(spec.Edges) {
-		return nil, Errf(CodeBadRequest, "community %q: %d demands for %d edges",
-			spec.ID, len(spec.Demands), len(spec.Edges))
-	}
-	dyn, err := poly.New(spec.Families, spec.Code)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
-	}
-	be := &polyBackend{dyn: dyn, defaultDemand: poly.ClampDemand(spec.DefaultDemand)}
-	demands := make([]int64, len(spec.Edges))
-	for i, e := range spec.Edges {
-		if err := validEdge(spec.Families, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", spec.ID, err)
-		}
-		if dyn.HasEdge(e[0], e[1]) {
-			return nil, fmt.Errorf("service: community %q: duplicate edge (%d,%d)", spec.ID, e[0], e[1])
-		}
-		var d int64
-		if i < len(spec.Demands) {
-			d = spec.Demands[i]
-		}
-		demands[i] = be.demand(d)
-		dyn.AddEdge(e[0], e[1], demands[i])
-	}
-	c := &Community{id: spec.ID, reg: r, be: be}
+// register inserts c, rejecting duplicate ids. With rec non-nil and a
+// journal attached, rec is logged first and a journal failure registers
+// nothing; recovery (Restore, Apply) passes nil.
+//
+// Logging inside r.mu is load-bearing, not incidental: the snapshot
+// cut-point argument (persist.Store.SaveSnapshot) relies on a create's
+// sequence assignment and map insertion being one critical section. Under
+// SyncAlways that puts an fsync under the registry lock, but creates and
+// deletes are rare next to churn, which only holds c.mu.
+func (r *Owner) register(c *Community, rec *Record) (*Community, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.communities[spec.ID]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", spec.ID)
+	if _, dup := r.communities[c.id]; dup {
+		return nil, fmt.Errorf("service: community %q already exists", c.id)
 	}
-	if logged {
-		if j := r.getJournal(); j != nil {
-			seq, err := j.Log(Record{Op: OpCreate, ID: spec.ID, N: spec.Families, Edges: spec.Edges,
-				Code: dyn.Code(), Kind: KindPoly, Demands: demands, DefaultDemand: be.defaultDemand})
-			if err != nil {
-				return nil, fmt.Errorf("service: community %q: journal: %w", spec.ID, err)
-			}
-			c.seq = seq
-		}
-	}
-	r.communities[spec.ID] = c
-	return c, nil
-}
-
-// CreateFromGraph registers a new community over an existing conflict
-// graph, avoiding the edge-list round trip of Create. The graph is not
-// retained; the community evolves its own dynamic copy. With a journal
-// attached, the creation is logged before the community becomes visible; a
-// journal failure registers nothing.
-func (r *Owner) CreateFromGraph(id string, g *graph.Graph, codeName string) (*Community, error) {
-	c, err := r.newCommunity(id, g, codeName)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[id]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", id)
-	}
-	// Logging inside r.mu is load-bearing, not incidental: the snapshot
-	// cut-point argument (persist.Store.SaveSnapshot) relies on a create's
-	// sequence assignment and map insertion being one critical section.
-	// Under SyncAlways that puts an fsync under the registry lock, but
-	// creates and deletes are rare next to churn, which only holds c.mu.
-	if j := r.getJournal(); j != nil {
-		edges := make([][2]int, 0, g.M())
-		for _, e := range g.Edges() {
-			edges = append(edges, [2]int{e.U, e.V})
-		}
-		seq, err := j.Log(Record{Op: OpCreate, ID: id, N: g.N(), Edges: edges, Code: c.be.CodeName()})
+	if j := r.getJournal(); j != nil && rec != nil {
+		seq, err := j.Log(*rec)
 		if err != nil {
-			return nil, fmt.Errorf("service: community %q: journal: %w", id, err)
+			return nil, fmt.Errorf("service: community %q: journal: %w", c.id, err)
 		}
 		c.seq = seq
 	}
-	r.communities[id] = c
+	r.communities[c.id] = c
 	return c, nil
 }
 
-// newCommunity validates and builds a community without registering it.
-func (r *Owner) newCommunity(id string, g *graph.Graph, codeName string) (*Community, error) {
-	if id == "" {
-		return nil, fmt.Errorf("service: empty community id")
-	}
-	if g.N() < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family", id)
-	}
-	if codeName == "" {
-		codeName = "omega"
-	}
-	code, err := prefixcode.ByName(codeName)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	dyn, err := core.NewDynamicColorBound(g, code)
-	if err != nil {
-		return nil, fmt.Errorf("service: community %q: %w", id, err)
-	}
-	return &Community{id: id, reg: r, be: &classicBackend{dyn: dyn}}, nil
-}
-
-// createUnlogged registers a community from a create record without
-// touching the journal — the replay path for OpCreate records of any kind.
-func (r *Owner) createUnlogged(rec Record) (*Community, error) {
-	if rec.Kind == KindPoly {
-		return r.createPoly(CreateSpec{
-			ID: rec.ID, Families: rec.N, Edges: rec.Edges, Code: rec.Code,
-			Kind: KindPoly, Demands: rec.Demands, DefaultDemand: rec.DefaultDemand,
-		}, false)
-	}
-	id, n, edges := rec.ID, rec.N, rec.Edges
-	if n < 1 {
-		return nil, fmt.Errorf("service: community %q needs at least one family, got %d", id, n)
-	}
+// edgeGraph builds the conflict graph of n families from an edge list,
+// rejecting out-of-range, self and duplicate edges.
+func edgeGraph(n int, edges [][2]int) (*graph.Graph, error) {
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		if err := validEdge(n, e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
+			return nil, err
 		}
 		if err := b.AddEdgeErr(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("service: community %q: %w", id, err)
+			return nil, err
 		}
 	}
-	c, err := r.newCommunity(id, b.Graph(), rec.Code)
-	if err != nil {
-		return nil, err
+	return b.Graph(), nil
+}
+
+// edgeList is the inverse of edgeGraph: g's edges in its canonical order.
+func edgeList(g *graph.Graph) [][2]int {
+	edges := make([][2]int, 0, g.M())
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]int{e.U, e.V})
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.communities[id]; dup {
-		return nil, fmt.Errorf("service: community %q already exists", id)
+	return edges
+}
+
+// codeByName resolves a classic community's prefix code; "" means omega,
+// the paper's choice.
+func codeByName(name string) (prefixcode.Code, error) {
+	if name == "" {
+		name = "omega"
 	}
-	r.communities[id] = c
-	return c, nil
+	return prefixcode.ByName(name)
 }
 
 // Get returns the community with the given id, if registered.
@@ -399,7 +370,7 @@ func validEdge(n, u, v int) error {
 // when the periodic assignment actually changed.
 type Community struct {
 	id  string
-	reg *Registry // for the journal; nil only in zero values
+	reg *Owner // for the journal; nil only in zero values
 
 	mu sync.RWMutex
 	// be is the kind-specific scheduler (classic color-bound or poly
@@ -417,6 +388,10 @@ type Community struct {
 	// are rejected with CodeNotOwner while replication (Apply) still lands.
 	// Guarded by mu so an ownership change cannot interleave with a write.
 	fenced bool
+	// one and oneRes are the scratch batch of single-edit churn and replay,
+	// used under mu, so a single op allocates nothing.
+	one    [1]core.Edit
+	oneRes [1]core.EditResult
 
 	hits   atomic.Int64 // queries answered from the cached schedule
 	misses atomic.Int64 // queries that had to freeze a new schedule
@@ -506,7 +481,7 @@ func (c *Community) AddFamily() (int, error) {
 	if err := c.fencedErrLocked(); err != nil {
 		return 0, err
 	}
-	if err := c.logLocked(Record{Op: OpAddFamily, ID: c.id}); err != nil {
+	if err := c.logLocked([]Record{{Op: OpAddFamily, ID: c.id}}); err != nil {
 		return 0, err
 	}
 	id := c.be.AddNode()
@@ -515,10 +490,10 @@ func (c *Community) AddFamily() (int, error) {
 }
 
 // Marry inserts an edge, routed through the kind's repair rule (§6 dynamic
-// recoloring for classic, incremental layering for poly). The cached
-// schedule survives unless the backend says the insertion changed it. With
-// a journal attached the record is logged (write-ahead) after validation
-// but before the insertion; on journal failure nothing is applied.
+// recoloring for classic, incremental layering for poly). It is a one-edit
+// ChurnBatch: the cached schedule survives unless the backend says the
+// insertion changed it, the record is journaled write-ahead after
+// validation, and re-marrying a married couple is an unjournaled no-op.
 func (c *Community) Marry(u, v int) (recolored bool, err error) {
 	return c.MarryDemand(u, v, 0)
 }
@@ -526,77 +501,50 @@ func (c *Community) Marry(u, v int) (recolored bool, err error) {
 // MarryDemand is Marry with an explicit per-edge demand for poly
 // communities (0 means the community default; classic ignores it).
 func (c *Community) MarryDemand(u, v int, demand int64) (recolored bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.fencedErrLocked(); err != nil {
-		return false, err
-	}
-	if err := validEdge(c.be.N(), u, v); err != nil {
-		return false, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	// Re-marrying an existing couple changes nothing: answer without
-	// journaling, so replay never carries records that did no work.
-	if c.be.HasEdge(u, v) {
-		return false, nil
-	}
-	if err := c.logLocked(Record{Op: OpMarry, ID: c.id, U: u, V: v, Demand: demand}); err != nil {
-		return false, err
-	}
-	res, err := c.be.AddEdge(u, v, demand)
-	if err != nil {
-		return false, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	if c.be.Invalidates(res) {
-		c.invalidateLocked()
-	}
-	return res.Recolored, nil
+	res, err := c.churnOne(core.Edit{Op: core.EditInsert, U: u, V: v, Demand: demand})
+	return res.Recolored, err
 }
 
-// Divorce removes an edge (the kind's deletion path), reporting whether the
-// edge existed and whether a repair (recoloring/relayering) ran. The cache
-// survives deletions the backend says changed nothing it serves.
-// Journaling mirrors Marry.
+// Divorce removes an edge (the kind's deletion path) as a one-edit
+// ChurnBatch, reporting whether the edge existed and whether a repair
+// (recoloring/relayering) ran. Divorcing strangers is an unjournaled no-op.
 func (c *Community) Divorce(u, v int) (removed, recolored bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.fencedErrLocked(); err != nil {
-		return false, false, err
-	}
-	if err := validEdge(c.be.N(), u, v); err != nil {
-		return false, false, fmt.Errorf("service: community %q: %w", c.id, err)
-	}
-	// Divorcing a couple that never married is a no-op: don't journal it.
-	// The WAL used to carry a divorce record for these, bloating replay
-	// with records that change nothing.
-	if !c.be.HasEdge(u, v) {
-		return false, false, nil
-	}
-	if err := c.logLocked(Record{Op: OpDivorce, ID: c.id, U: u, V: v}); err != nil {
-		return false, false, err
-	}
-	res := c.be.RemoveEdge(u, v)
-	if c.be.Invalidates(res) {
-		c.invalidateLocked()
-	}
-	return res.Applied, res.Recolored, nil
+	res, err := c.churnOne(core.Edit{Op: core.EditDelete, U: u, V: v})
+	return res.Applied, res.Recolored, err
 }
 
-// logLocked write-ahead logs one of this community's mutation records and
-// advances its journal sequence; the caller holds c.mu. Without a journal
-// (or a registry) it is a no-op.
-func (c *Community) logLocked(rec Record) error {
+// journal returns the journal attached to the community's owner, or nil.
+func (c *Community) journal() Journal {
 	if c.reg == nil {
 		return nil
 	}
-	j := c.reg.getJournal()
-	if j == nil {
+	return c.reg.getJournal()
+}
+
+// logLocked write-ahead logs this community's mutation records, in one
+// append when the journal supports it, and advances the community's
+// sequence to the last record's. Caller holds c.mu. Without a journal, or
+// with no records, it is a no-op.
+func (c *Community) logLocked(recs []Record) error {
+	j := c.journal()
+	if j == nil || len(recs) == 0 {
 		return nil
 	}
-	seq, err := j.Log(rec)
-	if err != nil {
-		return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+	if bj, ok := j.(BatchJournal); ok {
+		seq, err := bj.LogBatch(recs)
+		if err != nil {
+			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+		}
+		c.seq = seq
+		return nil
 	}
-	c.seq = seq
+	for _, rec := range recs {
+		seq, err := j.Log(rec)
+		if err != nil {
+			return fmt.Errorf("service: community %q: journal: %w", c.id, err)
+		}
+		c.seq = seq
+	}
 	return nil
 }
 
